@@ -82,9 +82,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = self.data

@@ -294,16 +294,3 @@ def export_weights(ds: ColumnarDataset, path) -> None:
                 row.append(repr(float(value)) if col.kind == CONTINUOUS else str(value))
             writer.writerow(row)
 
-
-def check_columns_match_graph(ds: ColumnarDataset, graph) -> None:
-    """Every graph node must map onto a dataset column of the same kind."""
-    for spec in graph.nodes:
-        try:
-            col = ds.column(spec.name)
-        except DataError:
-            raise DataError(f"graph node {spec.name!r} has no matching column") from None
-        if col.kind != spec.kind:
-            raise DataError(
-                f"node {spec.name!r} is {spec.kind} in the graph but "
-                f"{col.kind} in the data"
-            )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, input_gradient, no_grad
 from .data import ColumnarDataset, DataError, Encoder
-from .model import StructuredModel
+from .model import ModelError, StructuredModel
 from .nn import Adam, ParamStore, mlp_forward
 
 __all__ = [
@@ -69,11 +69,8 @@ def path_specific_effect(
     x: np.ndarray | None = None,
 ) -> float:
     """Contrast of the path-restricted intervention against the low reference."""
-    x = _encoded(model, ds, x)
-    omega = _normalized(weights, ds.m)
-    y_pi = model.intervene_path_specific(x, 1)
-    y_ref = model.intervene_total(x, 0)
-    return float(omega @ y_pi - omega @ y_ref)
+    _require_mode(model, "path_specific")
+    return estimate_effect(model, ds, x, weights)
 
 
 def counterfactual_effect(
@@ -84,12 +81,13 @@ def counterfactual_effect(
 ) -> float:
     """Total contrast over the rows matching the model's condition, with the
     weights renormalized inside that sub-population."""
-    x = _encoded(model, ds, x)
-    y_plus, mask = model.intervene_conditioned(ds, x, 1)
-    y_minus, _ = model.intervene_conditioned(ds, x, 0)
-    w = np.ones(ds.m) if weights is None else np.asarray(weights, dtype=np.float64)
-    omega = _normalized(w[mask], int(mask.sum()))
-    return float(omega @ y_plus - omega @ y_minus)
+    _require_mode(model, "counterfactual")
+    return estimate_effect(model, ds, x, weights)
+
+
+def _require_mode(model: StructuredModel, mode: str) -> None:
+    if model.mode.mode != mode:
+        raise ModelError(f"model mode is {model.mode.mode!r}, not {mode}")
 
 
 def estimate_effect(
@@ -97,13 +95,19 @@ def estimate_effect(
     ds: ColumnarDataset,
     x: np.ndarray | None = None,
     weights: np.ndarray | None = None,
+    pair: tuple | None = None,
 ) -> float:
-    """The effect matching the model's configured fairness mode."""
-    if model.mode.mode == "total":
-        return total_effect(model, ds, weights, x)
-    if model.mode.mode == "path_specific":
-        return path_specific_effect(model, ds, weights, x)
-    return counterfactual_effect(model, ds, weights, x)
+    """The effect matching the model's configured fairness mode; a caller
+    holding ``model.interventional_pair(x, ds)`` passes it as ``pair``."""
+    if pair is None:
+        pair = model.interventional_pair(_encoded(model, ds, x), ds)
+    y_plus, y_minus, mask = pair
+    if mask is None:
+        omega = _normalized(weights, ds.m)
+    else:
+        w = np.ones(ds.m) if weights is None else np.asarray(weights, dtype=np.float64)
+        omega = _normalized(w[mask], int(mask.sum()))
+    return float(omega @ y_plus - omega @ y_minus)
 
 
 def discriminator_gap(

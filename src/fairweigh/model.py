@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, backward, concat, input_gradient, no_grad
+from .autodiff import Tensor, concat, input_gradient, no_grad
 from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
 from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
 from .nn import ParamStore, load_params, mlp_forward, save_params
@@ -229,6 +229,11 @@ class StructuredModel:
         the interventional parent value when the edge carries the intervention
         and the reference value otherwise.
         """
+        return self._path_specific_pair(x, s)[0]
+
+    def _path_specific_pair(self, x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(path-specific outcome at s, reference outcome at 0) from one
+        reference cascade."""
         self._check_s(s)
         if self.mode.mode != "path_specific":
             raise ModelError(f"model mode is {self.mode.mode!r}, not path_specific")
@@ -253,7 +258,17 @@ class StructuredModel:
                     inter[name] = self._block_repr(name, self._node_output(name, inputs))
                 else:
                     inter[name] = reference[name]
-            return self._outcome_probability(inter)
+            return self._outcome_probability(inter), self._outcome_probability(reference)
+
+    def pair_mask(self, ds: ColumnarDataset) -> np.ndarray | None:
+        """Rows of ``ds`` that the interventional pair covers: all (None)
+        unless the mode conditions, else those matching the stored condition."""
+        if self.mode.mode != "counterfactual":
+            return None
+        mask = condition_mask(ds, self.mode.condition)
+        if not mask.any():
+            raise ModelError(f"no rows match condition {self.mode.condition}")
+        return mask
 
     def intervene_conditioned(
         self, ds: ColumnarDataset, x: np.ndarray, s: int
@@ -265,29 +280,25 @@ class StructuredModel:
         """
         if self.mode.mode != "counterfactual":
             raise ModelError(f"model mode is {self.mode.mode!r}, not counterfactual")
-        mask = condition_mask(ds, self.mode.condition)
-        if not mask.any():
-            raise ModelError(f"no rows match condition {self.mode.condition}")
+        mask = self.pair_mask(ds)
         return self.intervene_total(x[mask], s), mask
 
     def interventional_pair(
-        self, x: np.ndarray, ds: ColumnarDataset | None = None
+        self, x: np.ndarray, ds: ColumnarDataset | None = None, mask: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The (yhat_plus, yhat_minus) contrast the critic discriminates,
-        per the configured fairness mode; also the row mask if conditioning."""
+        per the configured fairness mode; also the row mask if conditioning,
+        which takes the raw dataset of ``x`` or its (possibly empty) ``mask``."""
         if self.mode.mode == "total":
             return self.intervene_total(x, 1), self.intervene_total(x, 0), None
         if self.mode.mode == "path_specific":
-            return (
-                self.intervene_path_specific(x, 1),
-                self.intervene_total(x, 0),
-                None,
-            )
-        if ds is None:
-            raise ModelError("counterfactual mode needs the raw dataset for matching")
-        plus, mask = self.intervene_conditioned(ds, x, 1)
-        minus, _ = self.intervene_conditioned(ds, x, 0)
-        return plus, minus, mask
+            return (*self._path_specific_pair(x, 1), None)
+        if mask is None:
+            if ds is None:
+                raise ModelError("counterfactual mode needs the raw dataset for matching")
+            mask = self.pair_mask(ds)
+        rows = x[mask]
+        return self.intervene_total(rows, 1), self.intervene_total(rows, 0), mask
 
     def _check_s(self, s: int) -> None:
         if s not in (0, 1):
@@ -370,6 +381,3 @@ class StructuredModel:
                 f"(stored {meta.get('graph', '?')[:12]}..., expected {expected[:12]}...)"
             )
         self.params.restore(store.snapshot())
-
-    def gradients(self, loss: Tensor, groups) -> list[Tensor]:
-        return backward(loss, self.params.parameters(groups))

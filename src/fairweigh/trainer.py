@@ -5,6 +5,11 @@ steps per critic step), then refines the critic, evaluates the critic gap
 d_k over the full training split, and re-solves the weights.  The first
 epoch's critic updates see unit weights; the solved weights feed the next
 epoch's weighted fit.
+
+After the fit steps the fit parameters stay frozen for the rest of the epoch,
+so the interventional pair is computed once over the full split: the
+refinement critic steps take their batches' rows from it, and the epoch's
+effect estimate reuses it with the solved weights.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +35,7 @@ from .effects import (
 from .graph import CausalGraph, PathSet
 from .model import StructuredModel
 from .nn import Adam, MomentumSGD, learning_rate
-from .reweighter import WeightVector, solve_weights
+from .reweighter import SolverError, WeightVector, solve_weights
 
 __all__ = [
     "TrainingError",
@@ -66,7 +72,6 @@ class TrainConfig:
     critic_hidden: tuple[int, ...] = (32, 32, 32)
     lr_increasing: bool = False
     observational_cascade: bool = False
-    schedule: str = "interleaved"  # or "phased": all fit steps, then critic steps
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "fit_steps_per_critic_step"):
@@ -76,8 +81,6 @@ class TrainConfig:
             raise ValueError("critic_steps_at_weight_solve must be >= 0")
         if self.balance <= 0:
             raise ValueError("balance parameter must be positive")
-        if self.schedule not in ("interleaved", "phased"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
 @dataclass
@@ -106,6 +109,15 @@ def _batches(m: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
+class _Pair(NamedTuple):
+    """Interventional outcomes of some split rows, with their critic context."""
+
+    y_plus: np.ndarray
+    y_minus: np.ndarray
+    rows: np.ndarray  # split row of each entry
+    context: np.ndarray | None
+
+
 class _Loop:
     """Mutable training state shared by the per-epoch phases."""
 
@@ -118,6 +130,11 @@ class _Loop:
         self.ds = ds
         self.config = config
         self.x = model.encoder.transform(ds)
+        # Split rows the pair covers, and each split row's position in it (or -1).
+        self.mask = model.pair_mask(ds)
+        self.pair_rows = np.arange(ds.m) if self.mask is None else np.flatnonzero(self.mask)
+        self.pair_position = np.full(ds.m, -1)
+        self.pair_position[self.pair_rows] = np.arange(self.pair_rows.size)
         self.weights = np.ones(ds.m)
         self.fit_params = model.params.parameters(model.sub_network_nodes)
         self.critic_params = model.params.parameters(["critic"])
@@ -146,20 +163,36 @@ class _Loop:
         self.completed_fit_steps += 1
         return float(loss.data)
 
-    def critic_step(self, idx: np.ndarray) -> None:
-        xb = self.x[idx]
-        y_plus, y_minus, mask = self.model.interventional_pair(xb, self.ds.take(idx))
-        if y_plus.size == 0:
-            return
-        wb = self.weights[idx]
+    def batch_pair(self, idx: np.ndarray) -> _Pair:
+        """The interventional pair of a batch under the current fit parameters."""
+        mask = None if self.mask is None else self.mask[idx]
+        y_plus, y_minus, mask = self.model.interventional_pair(self.x[idx], mask=mask)
+        return self._with_context(y_plus, y_minus, idx if mask is None else idx[mask])
+
+    def full_split_pair(self) -> _Pair:
+        y_plus, y_minus, _ = self.model.interventional_pair(self.x, mask=self.mask)
+        return self._with_context(y_plus, y_minus, self.pair_rows)
+
+    def _with_context(self, y_plus, y_minus, rows: np.ndarray) -> _Pair:
         context = None
         if self.model.critic_context_nodes:
-            context = self.model.critic_context(xb if mask is None else xb[mask])
-        if mask is not None:
-            wb = wb[mask]
+            context = self.model.critic_context(self.x[rows])
+        return _Pair(y_plus, y_minus, rows, context)
+
+    def refine_pair(self, full: _Pair, idx: np.ndarray) -> _Pair:
+        """The batch's rows of the epoch's full-split pair: while the fit
+        parameters stay frozen, slicing equals recomputing."""
+        positions = self.pair_position[idx]
+        positions = positions[positions >= 0]
+        return _Pair(*(None if part is None else part[positions] for part in full))
+
+    def critic_step(self, pair: _Pair) -> None:
+        y_plus, y_minus, rows, context = pair
+        if y_plus.size == 0:
+            return
         v_plus = self.model.critic_value(y_plus, context)
         v_minus = self.model.critic_value(y_minus, context)
-        w_col = Tensor(wb.reshape(-1, 1))
+        w_col = Tensor(self.weights[rows].reshape(-1, 1))
         objective = (w_col * (v_plus - v_minus)).mean()
         penalty = self.model.gradient_penalty(y_plus, y_minus, self.penalty_rng, context)
         loss = -objective + self.config.penalty_coef * penalty
@@ -168,44 +201,27 @@ class _Loop:
         self.last_critic_objective = float(objective.data)
         self.last_penalty = float(penalty.data)
 
-    def full_split_pair(self):
-        y_plus, y_minus, mask = self.model.interventional_pair(self.x, self.ds)
-        context = None
-        if self.model.critic_context_nodes:
-            context = self.model.critic_context(
-                self.x if mask is None else self.x[mask]
-            )
-        return y_plus, y_minus, mask, context
-
-    def orient_critic(self, pair) -> None:
+    def orient_critic(self, pair: _Pair) -> None:
         """Exploit the critic's sign symmetry: the penalty is invariant under
         negation, so when the weighted objective is negative the negated
         critic is a strictly better feasible maximizer.  Gradient steps cannot
         cross between the two basins once the penalty binds; this jump can."""
-        y_plus, y_minus, mask, context = pair
-        gap = self.model.critic_values(y_plus, context) - self.model.critic_values(
-            y_minus, context
-        )
-        w = self.weights if mask is None else self.weights[mask]
-        if float(w @ gap) < 0.0:
+        if float(self.weights[pair.rows] @ self._critic_gap(pair)) < 0.0:
             weight, bias = self.model.params.group("critic")[-1]
             weight.data = -weight.data
             bias.data = -bias.data
 
-    def solve_epoch_weights(self, pair) -> WeightVector:
+    def solve_epoch_weights(self, pair: _Pair) -> WeightVector:
         """Critic gap over the full split, then the constrained weight solve."""
-        y_plus, y_minus, mask, context = pair
-        gap = self.model.critic_values(y_plus, context) - self.model.critic_values(
-            y_minus, context
-        )
-        solved = solve_weights(gap, self.config.balance)
-        if mask is None:
-            self.weights = solved.values.copy()
-        else:
-            # Conditioned mode: rows outside the condition keep weight one.
-            self.weights = np.ones(self.ds.m)
-            self.weights[mask] = solved.values
+        solved = solve_weights(self._critic_gap(pair), self.config.balance)
+        # Conditioned mode: rows outside the condition keep weight one.
+        self.weights = np.ones(self.ds.m)
+        self.weights[pair.rows] = solved.values
         return WeightVector(self.weights.copy(), self.config.balance)
+
+    def _critic_gap(self, pair: _Pair) -> np.ndarray:
+        critic = self.model.critic_values
+        return critic(pair.y_plus, pair.context) - critic(pair.y_minus, pair.context)
 
 
 def train(
@@ -213,8 +229,8 @@ def train(
 ) -> tuple[StructuredModel, WeightVector, list[EpochRecord]]:
     """Run the full alternating scheme; returns the final feasible weights.
 
-    Aborts on a non-finite loss or gradient, restoring the last epoch-boundary
-    parameter snapshot before raising.
+    Aborts on a non-finite loss or gradient or a failed weight solve,
+    restoring the last epoch-boundary parameter snapshot before raising.
     """
     loop = _Loop(model, ds, config)
     log: list[EpochRecord] = []
@@ -227,33 +243,24 @@ def train(
         try:
             for i, idx in enumerate(_batches(ds.m, config.batch_size, loop.batch_rng)):
                 losses.append(loop.fit_step(idx))
-                interleave = config.schedule == "interleaved"
-                if interleave and (i + 1) % config.fit_steps_per_critic_step == 0:
-                    loop.critic_step(idx)
-            if config.schedule == "phased":
-                n_critic = max(1, len(losses) // config.fit_steps_per_critic_step)
-                for _ in range(n_critic):
-                    idx = loop.refine_rng.choice(
-                        ds.m, size=min(config.batch_size, ds.m), replace=False
-                    )
-                    loop.critic_step(idx)
+                if (i + 1) % config.fit_steps_per_critic_step == 0:
+                    loop.critic_step(loop.batch_pair(idx))
             pair = loop.full_split_pair()
             loop.orient_critic(pair)
             for _ in range(config.critic_steps_at_weight_solve):
-                idx = loop.refine_rng.choice(
-                    ds.m, size=min(config.batch_size, ds.m), replace=False
-                )
-                loop.critic_step(idx)
+                idx = loop.refine_rng.choice(ds.m, size=config.batch_size, replace=False)
+                loop.critic_step(loop.refine_pair(pair, idx))
             weight_vector = loop.solve_epoch_weights(pair)
-        except FloatingPointError as exc:
+        except (FloatingPointError, SolverError) as exc:
             model.params.restore(snapshot)
             raise TrainingError(
-                f"non-finite value during epoch {epoch}; rolled back to epoch "
-                f"{epoch - 1} checkpoint",
+                f"{exc} (epoch {epoch}); rolled back to epoch {epoch - 1} checkpoint",
                 epoch=epoch,
             ) from exc
         snapshot = model.params.snapshot()
-        effect = estimate_effect(model, ds, loop.x, loop.weights)
+        effect = estimate_effect(
+            model, ds, weights=loop.weights, pair=(pair.y_plus, pair.y_minus, loop.mask)
+        )
         log.append(
             EpochRecord(
                 epoch=epoch,

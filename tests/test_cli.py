@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from fairweigh import trainer
 from fairweigh.cli import main
+from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_document
 
 SCHEMA = [
@@ -210,3 +212,11 @@ def test_path_specific_mode_runs(workspace):
     assert main(["reweigh", "--config", str(config)]) in (0, 1)
     report = json.loads((workspace / "run11" / "report.json").read_text())
     assert report["mode"] == "path_specific"
+
+
+def test_failed_weight_solve_exits_3(workspace, monkeypatch):
+    def fail(d, balance):
+        raise SolverError("non-finite critic gap")
+
+    monkeypatch.setattr(trainer, "solve_weights", fail)
+    assert main(["reweigh", "--config", str(config_for(workspace, "solve_fails"))]) == 3

@@ -406,3 +406,67 @@ def test_checkpoint_refuses_other_graph(tmp_path, bench_small, no_path_graph):
     )
     with pytest.raises(ModelError, match="different graph"):
         other.restore(path)
+
+
+PAIR_MODES = {
+    "total": total_path_set,
+    "path_specific": indirect_path_set,
+    "counterfactual": lambda graph: counterfactual_path_set(graph, [("x2", "1")]),
+}
+
+
+def reference_pair(model, ds, x):
+    """The pair from the per-mode public cascades, one clamp per call."""
+    if model.mode.mode == "total":
+        return model.intervene_total(x, 1), model.intervene_total(x, 0), None
+    if model.mode.mode == "path_specific":
+        return model.intervene_path_specific(x, 1), model.intervene_total(x, 0), None
+    plus, mask = model.intervene_conditioned(ds, x, 1)
+    minus, _ = model.intervene_conditioned(ds, x, 0)
+    return plus, minus, mask
+
+
+@pytest.mark.parametrize("mode", sorted(PAIR_MODES))
+def test_interventional_pair_matches_per_clamp_cascades_bitwise(bench_small, mode):
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=13)
+    x = enc.transform(ds)
+    y_plus, y_minus, mask = model.interventional_pair(x, ds)
+    ref_plus, ref_minus, ref_mask = reference_pair(model, ds, x)
+    assert np.array_equal(y_plus, ref_plus)
+    assert np.array_equal(y_minus, ref_minus)
+    assert (mask is None) == (ref_mask is None)
+    if mask is not None:
+        assert np.array_equal(mask, ref_mask)
+    assert mode == "total" or not np.array_equal(y_plus, model.intervene_total(x, 1))
+
+
+@pytest.mark.parametrize("mode", sorted(PAIR_MODES))
+def test_split_mask_sliced_per_batch_matches_batch_matching(bench_small, mode):
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=13)
+    x = enc.transform(ds)
+    split_mask = model.pair_mask(ds)
+    assert (split_mask is None) == (mode != "counterfactual")
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        idx = rng.choice(ds.m, size=64, replace=False)
+        batch = ds.take(idx)
+        if split_mask is not None:
+            assert np.array_equal(
+                split_mask[idx], condition_mask(batch, model.mode.condition)
+            )
+        sliced = model.interventional_pair(
+            x[idx], mask=None if split_mask is None else split_mask[idx]
+        )
+        matched = model.interventional_pair(x[idx], batch)
+        for a, b in zip(sliced, matched):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def test_explicit_mask_matching_no_row_gives_an_empty_pair(bench_small):
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, PAIR_MODES["counterfactual"](scm.graph), seed=13)
+    x = enc.transform(ds)[:8]
+    y_plus, y_minus, _ = model.interventional_pair(x, mask=np.zeros(8, dtype=bool))
+    assert y_plus.shape == y_minus.shape == (0,)

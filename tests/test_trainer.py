@@ -1,15 +1,20 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fairweigh import trainer
 from fairweigh.data import Column, ColumnarDataset, Encoder
-from fairweigh.graph import total_path_set
+from fairweigh.effects import estimate_effect
+from fairweigh.graph import counterfactual_path_set, indirect_path_set, total_path_set
 from fairweigh.model import StructuredModel
+from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_scm, generate, parse_scm
 from fairweigh.trainer import (
     TrainConfig,
     TrainingError,
+    _Loop,
     progress,
     repeat_protocol,
     train,
@@ -247,3 +252,83 @@ def test_repeat_protocol_varies_split_per_repetition():
     assert not np.array_equal(first, second)
     assert report.accuracy is None
     assert len(report.effect.values) == 2
+
+
+MODES = {
+    "total": (total_path_set, ()),
+    "path_specific": (indirect_path_set, ()),
+    "counterfactual": (
+        lambda graph: counterfactual_path_set(graph, [("x2", "1")]),
+        ("x1", "x2"),
+    ),
+}
+
+
+def mode_setup(mode, n=400, seed=8, **config):
+    scm = benchmark_scm(seed=seed)
+    ds = generate(scm, n)
+    enc = Encoder().fit(ds)
+    path_set, context_nodes = MODES[mode]
+    cfg = TrainConfig(**{**FAST, "seed": seed, **config})
+    model = StructuredModel(
+        scm.graph, enc, path_set(scm.graph), seed=seed, critic_context_nodes=context_nodes
+    )
+    return ds, enc, model, cfg
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_refinement_batch_sliced_from_full_pair_matches_recomputation(mode):
+    ds, enc, model, cfg = mode_setup(mode)
+    train(model, ds, replace(cfg, epochs=1))  # non-trivial fit and critic parameters
+    loop = _Loop(model, ds, cfg)
+    full = loop.full_split_pair()
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        idx = rng.choice(ds.m, size=cfg.batch_size, replace=False)
+        sliced = loop.refine_pair(full, idx)
+        y_plus, y_minus, mask = model.interventional_pair(loop.x[idx], ds.take(idx))
+        rows = idx if mask is None else idx[mask]
+        assert np.array_equal(sliced.rows, rows)
+        np.testing.assert_allclose(sliced.y_plus, y_plus, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sliced.y_minus, y_minus, rtol=0, atol=1e-12)
+        if model.critic_context_nodes:
+            assert np.array_equal(sliced.context, model.critic_context(loop.x[rows]))
+        else:
+            assert sliced.context is None
+        recomputed = loop.batch_pair(idx)
+        assert np.array_equal(recomputed.rows, rows)
+        np.testing.assert_allclose(recomputed.y_plus, sliced.y_plus, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_logged_effect_reuses_the_full_pair(mode):
+    ds, enc, model, cfg = mode_setup(mode, epochs=2)
+    model, wv, log = train(model, ds, cfg)
+    expected = estimate_effect(model, ds, enc.transform(ds), wv.values)
+    assert log[-1].effect == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_failed_weight_solve_rolls_back_to_epoch_boundary(monkeypatch):
+    _, ds, enc, model, cfg = small_setup(seed=4)
+    real_solve = trainer.solve_weights
+    boundary = []
+
+    def solve_then_fail(d, balance):
+        if boundary:
+            assert not params_equal(model.params.snapshot(), boundary[0])
+            raise SolverError("projection input contains non-finite entries")
+        # parameters do not change between this call and the epoch boundary
+        boundary.append(model.params.snapshot())
+        return real_solve(d, balance)
+
+    monkeypatch.setattr(trainer, "solve_weights", solve_then_fail)
+    with pytest.raises(TrainingError, match="non-finite entries") as info:
+        train(model, ds, cfg)
+    assert info.value.epoch == 1
+    assert params_equal(model.params.snapshot(), boundary[0])
+
+
+def params_equal(a, b):
+    return a.keys() == b.keys() and all(
+        np.array_equal(x, y) for name in a for x, y in zip(a[name], b[name])
+    )
