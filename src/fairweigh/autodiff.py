@@ -7,6 +7,16 @@ second derivatives available: differentiating a gradient norm with respect to
 upstream parameters is an ordinary second call to :func:`backward` with
 ``create_graph=True`` on the first.
 
+Every primitive is one ``Tensor(data, parents, vjp=...)`` call.  Its
+vector-Jacobian product ``vjp(g, out)`` receives the gradient ``g`` of the
+output and the output node ``out`` itself, and returns one gradient per
+parent; :func:`backward` calls it as ``node._vjp(g, node)``.  A primitive
+whose derivative is written in terms of its output (tanh, sigmoid, softmax,
+sqrt) reads it from ``out`` instead of closing over it.  The tape must stay
+acyclic: a node references its parents and never the reverse, so reference
+counting frees each activation as soon as the last tensor built on it goes,
+without waiting for the cyclic garbage collector.
+
 All arithmetic is float64.  The engine is deliberately small: affine maps,
 pointwise activations, softmax, concatenation and reductions are everything a
 dense feed-forward net with a gradient-penalty critic needs.
@@ -14,7 +24,7 @@ dense feed-forward net with a gradient-penalty critic needs.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -23,7 +33,6 @@ __all__ = [
     "backward",
     "input_gradient",
     "no_grad",
-    "replay",
     "concat",
 ]
 
@@ -50,23 +59,19 @@ class Tensor:
     """Node of the recorded computation.
 
     ``parents`` and ``_vjp`` are set only while recording is enabled; leaves
-    (inputs, parameters, constants) carry neither.  ``_recompute`` re-derives
-    ``data`` from the parents' data and exists so a tape can be replayed and
-    checked bit-for-bit.
+    (inputs, parameters, constants) carry neither.
     """
 
-    __slots__ = ("data", "parents", "_vjp", "_recompute")
+    __slots__ = ("data", "parents", "_vjp")
 
-    def __init__(self, data, parents=(), vjp=None, recompute=None):
+    def __init__(self, data, parents=(), vjp=None):
         self.data = _as_array(data)
         if _GRAD_ENABLED:
             self.parents = tuple(parents)
             self._vjp = vjp
-            self._recompute = recompute
         else:
             self.parents = ()
             self._vjp = None
-            self._recompute = None
 
     # -- introspection ----------------------------------------------------
 
@@ -87,7 +92,6 @@ class Tensor:
         out.data = self.data
         out.parents = ()
         out._vjp = None
-        out._recompute = None
         return out
 
     def __repr__(self):
@@ -97,13 +101,14 @@ class Tensor:
 
     def __add__(self, other):
         other = _lift(other)
-        out = Tensor(
+        return Tensor(
             self.data + other.data,
             (self, other),
-            vjp=lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
-            recompute=lambda a, b: a + b,
+            vjp=lambda g, out: (
+                _unbroadcast(g, self.shape),
+                _unbroadcast(g, other.shape),
+            ),
         )
-        return out
 
     __radd__ = __add__
 
@@ -112,8 +117,10 @@ class Tensor:
         return Tensor(
             self.data - other.data,
             (self, other),
-            vjp=lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
-            recompute=lambda a, b: a - b,
+            vjp=lambda g, out: (
+                _unbroadcast(g, self.shape),
+                _unbroadcast(-g, other.shape),
+            ),
         )
 
     def __rsub__(self, other):
@@ -124,11 +131,10 @@ class Tensor:
         return Tensor(
             self.data * other.data,
             (self, other),
-            vjp=lambda g: (
+            vjp=lambda g, out: (
                 _unbroadcast(g * other, self.shape),
                 _unbroadcast(g * self, other.shape),
             ),
-            recompute=lambda a, b: a * b,
         )
 
     __rmul__ = __mul__
@@ -138,23 +144,14 @@ class Tensor:
         return Tensor(
             self.data / other.data,
             (self, other),
-            vjp=lambda g: (
+            vjp=lambda g, out: (
                 _unbroadcast(g / other, self.shape),
                 _unbroadcast(-g * self / (other * other), other.shape),
             ),
-            recompute=lambda a, b: a / b,
         )
-
-    def __rtruediv__(self, other):
-        return _lift(other) / self
 
     def __neg__(self):
-        return Tensor(
-            -self.data,
-            (self,),
-            vjp=lambda g: (-g,),
-            recompute=lambda a: -a,
-        )
+        return Tensor(-self.data, (self,), vjp=lambda g, out: (-g,))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -163,8 +160,7 @@ class Tensor:
         return Tensor(
             self.data**c,
             (self,),
-            vjp=lambda g: (g * (self ** (c - 1.0)) * c,),
-            recompute=lambda a: a**c,
+            vjp=lambda g, out: (g * (self ** (c - 1.0)) * c,),
         )
 
     def __matmul__(self, other):
@@ -176,83 +172,50 @@ class Tensor:
         return Tensor(
             self.data @ other.data,
             (self, other),
-            vjp=lambda g: (g @ other.T, self.T @ g),
-            recompute=lambda a, b: a @ b,
+            vjp=lambda g, out: (g @ other.T, self.T @ g),
         )
 
     # -- pointwise nonlinearities -------------------------------------------
 
-    def exp(self):
-        out = Tensor(
-            np.exp(self.data),
-            (self,),
-            recompute=lambda a: np.exp(a),
-        )
-        out._vjp = lambda g: (g * out,)
-        return out
-
     def log(self):
-        return Tensor(
-            np.log(self.data),
-            (self,),
-            vjp=lambda g: (g / self,),
-            recompute=lambda a: np.log(a),
-        )
+        return Tensor(np.log(self.data), (self,), vjp=lambda g, out: (g / self,))
 
     def sqrt(self):
-        out = Tensor(
-            np.sqrt(self.data),
-            (self,),
-            recompute=lambda a: np.sqrt(a),
+        return Tensor(
+            np.sqrt(self.data), (self,), vjp=lambda g, out: (g * 0.5 / out,)
         )
-        out._vjp = lambda g: (g * 0.5 / out,)
-        return out
 
     def tanh(self):
-        out = Tensor(
-            np.tanh(self.data),
-            (self,),
-            recompute=lambda a: np.tanh(a),
+        return Tensor(
+            np.tanh(self.data), (self,), vjp=lambda g, out: (g * (1.0 - out * out),)
         )
-        out._vjp = lambda g: (g * (1.0 - out * out),)
-        return out
 
     def sigmoid(self):
-        out = Tensor(
+        return Tensor(
             _stable_sigmoid(self.data),
             (self,),
-            recompute=_stable_sigmoid,
+            vjp=lambda g, out: (g * out * (1.0 - out),),
         )
-        out._vjp = lambda g: (g * out * (1.0 - out),)
-        return out
 
     def softmax(self, axis: int = 1):
-        out = Tensor(
+        return Tensor(
             _stable_softmax(self.data, axis),
             (self,),
-            recompute=lambda a: _stable_softmax(a, axis),
+            vjp=lambda g, out: (
+                out * (g - (g * out).sum(axis=axis, keepdims=True)),
+            ),
         )
-        out._vjp = lambda g: (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
-        return out
 
     # -- shape manipulation --------------------------------------------------
 
     @property
     def T(self):
-        return Tensor(
-            self.data.T,
-            (self,),
-            vjp=lambda g: (g.T,),
-            recompute=lambda a: a.T,
-        )
+        return Tensor(self.data.T, (self,), vjp=lambda g, out: (g.T,))
 
     def reshape(self, shape):
         old = self.shape
         return Tensor(
-            self.data.reshape(shape),
-            (self,),
-            vjp=lambda g: (g.reshape(old),),
-            recompute=lambda a: a.reshape(shape),
+            self.data.reshape(shape), (self,), vjp=lambda g, out: (g.reshape(old),)
         )
 
     def broadcast_to(self, shape):
@@ -260,33 +223,26 @@ class Tensor:
         return Tensor(
             np.broadcast_to(self.data, shape),
             (self,),
-            vjp=lambda g: (_unbroadcast(g, old),),
-            recompute=lambda a: np.broadcast_to(a, shape),
+            vjp=lambda g, out: (_unbroadcast(g, old),),
         )
 
     def slice_cols(self, start: int, stop: int):
-        """Columns ``start:stop`` of a 2-D tensor."""
+        """Columns ``start:stop`` of a 2-D tensor, 0 <= start <= stop <= width."""
         if self.ndim != 2:
             raise ValueError("slice_cols expects a 2-D tensor")
         width = self.shape[1]
         return Tensor(
             self.data[:, start:stop],
             (self,),
-            vjp=lambda g: (_embed_cols(g, width, start, stop),),
-            recompute=lambda a: a[:, start:stop],
+            vjp=lambda g, out: (_embed_cols(g, width, start, stop),),
         )
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         in_shape = self.shape
-        out = Tensor(
-            self.data.sum(axis=axis, keepdims=keepdims),
-            (self,),
-            recompute=lambda a: a.sum(axis=axis, keepdims=keepdims),
-        )
 
-        def vjp(g):
+        def vjp(g, out):
             if axis is None:
                 kshape = (1,) * len(in_shape)
             elif keepdims:
@@ -299,8 +255,7 @@ class Tensor:
                 )
             return (g.reshape(kshape).broadcast_to(in_shape),)
 
-        out._vjp = vjp
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp=vjp)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.size if axis is None else np.prod(
@@ -344,39 +299,26 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
 def _embed_cols(g: Tensor, width: int, start: int, stop: int) -> Tensor:
     """Scatter a column-slice gradient into a zero tensor of full width."""
     rows = g.shape[0]
-    stop_norm = min(stop, width) if stop >= 0 else stop % width
-    pieces = []
+    pieces = [g]
     if start > 0:
-        pieces.append(Tensor(np.zeros((rows, start))))
-    pieces.append(g)
-    if stop_norm < width:
-        pieces.append(Tensor(np.zeros((rows, width - stop_norm))))
-    return concat(pieces, axis=1) if len(pieces) > 1 else g
+        pieces.insert(0, Tensor(np.zeros((rows, start))))
+    if stop < width:
+        pieces.append(Tensor(np.zeros((rows, width - stop))))
+    return concat(pieces)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
-    """Concatenate 2-D tensors along ``axis`` (tape-recorded)."""
+def concat(tensors) -> Tensor:
+    """Concatenate 2-D tensors along their columns (tape-recorded)."""
     tensors = [_lift(t) for t in tensors]
     if len(tensors) == 1:
         return tensors[0]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        grads = []
-        for i, t in enumerate(tensors):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            if axis == 1:
-                grads.append(g.slice_cols(lo, hi))
-            else:
-                grads.append(g.T.slice_cols(lo, hi).T)
-        return tuple(grads)
-
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors]).tolist()
     return Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        tuple(tensors),
-        vjp=vjp,
-        recompute=lambda *arrs: np.concatenate(arrs, axis=axis),
+        np.concatenate([t.data for t in tensors], axis=1),
+        tensors,
+        vjp=lambda g, out: tuple(
+            g.slice_cols(lo, hi) for lo, hi in zip(offsets, offsets[1:])
+        ),
     )
 
 
@@ -408,26 +350,15 @@ def backward(output: Tensor, wrt, create_graph: bool = False) -> list[Tensor]:
     """
     if output.size != 1:
         raise ValueError(f"backward expects a scalar output, got shape {output.shape}")
-    topo = _toposort(output)
     grads: dict[int, Tensor] = {id(output): Tensor(np.ones_like(output.data))}
-
-    def run():
-        for node in reversed(topo):
+    with nullcontext() if create_graph else no_grad():
+        for node in reversed(_toposort(output)):
             g = grads.get(id(node))
             if g is None or node._vjp is None:
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node.parents, parent_grads):
-                if pg is None:
-                    continue
+            for parent, pg in zip(node.parents, node._vjp(g, node)):
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-
-    if create_graph:
-        run()
-    else:
-        with no_grad():
-            run()
 
     out = []
     for t in wrt:
@@ -448,18 +379,3 @@ def input_gradient(output: Tensor, x: Tensor, create_graph: bool = True) -> Tens
     """
     (gx,) = backward(output, [x], create_graph=create_graph)
     return gx
-
-
-def replay(tensor: Tensor) -> np.ndarray:
-    """Recompute a recorded tensor's value from its leaf inputs.
-
-    Replaying applies each recorded primitive again in topological order; the
-    result must match the stored forward value bit-for-bit.
-    """
-    values: dict[int, np.ndarray] = {}
-    for node in _toposort(tensor):
-        if node._recompute is None:
-            values[id(node)] = node.data
-        else:
-            values[id(node)] = node._recompute(*(values[id(p)] for p in node.parents))
-    return values[id(tensor)]

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, input_gradient, no_grad
+from .autodiff import Tensor, backward, no_grad
 from .data import ColumnarDataset, DataError, Encoder
 from .model import ModelError, StructuredModel
-from .nn import Adam, ParamStore, mlp_forward
+from .nn import Adam, ParamStore, gradient_penalty, layer_sizes, mlp_forward
 
 __all__ = [
     "total_effect",
@@ -168,12 +168,8 @@ def wasserstein_estimate(
         raise ValueError("row matrices must be 2-D with a common column count")
     omega = _normalized(weights, x_b.shape[0])
 
-    width = x_a.shape[1]
     store = ParamStore(seed)
-    sizes = [(width, hidden[0])]
-    sizes += [(hidden[i], hidden[i + 1]) for i in range(len(hidden) - 1)]
-    sizes += [(hidden[-1], 1)]
-    store.add_group("critic", sizes, zero_final=True)
+    store.add_group("critic", layer_sizes(x_a.shape[1], hidden, 1), zero_final=True)
     params = store.parameters(["critic"])
     opt = Adam(params, lr)
     rng = np.random.default_rng([seed, 3])
@@ -185,11 +181,7 @@ def wasserstein_estimate(
         value_a = mlp_forward(store.group("critic"), Tensor(rows_a), "linear")
         value_b = mlp_forward(store.group("critic"), Tensor(rows_b), "linear")
         u = rng.uniform(0.0, 1.0, size=(batch, 1))
-        x_hat = Tensor(u * rows_a + (1.0 - u) * rows_b)
-        critic_at = mlp_forward(store.group("critic"), x_hat, "linear")
-        grad_x = input_gradient(critic_at.sum(), x_hat, create_graph=True)
-        norm = ((grad_x * grad_x).sum(axis=1, keepdims=True) + 1e-24).sqrt()
-        penalty = ((norm - 1.0) ** 2).mean()
+        penalty = gradient_penalty(store.group("critic"), u * rows_a + (1.0 - u) * rows_b)
         loss = value_b.mean() - value_a.mean() + penalty_coef * penalty
         if not np.isfinite(loss.data):
             raise FloatingPointError("distance critic diverged (non-finite loss)")

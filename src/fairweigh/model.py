@@ -16,10 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, input_gradient, no_grad
+from .autodiff import Tensor, concat, no_grad
 from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
 from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
-from .nn import ParamStore, load_params, mlp_forward, save_params
+from .nn import (
+    ParamStore,
+    gradient_penalty,
+    layer_sizes,
+    load_params,
+    mlp_forward,
+    save_params,
+)
 
 __all__ = ["ModelError", "StructuredModel", "condition_mask"]
 
@@ -91,21 +98,14 @@ class StructuredModel:
         )
         for name in self.sub_network_nodes:
             in_width = sum(encoder.block_width(p) for p in graph.parents(name))
-            head, out_width = self._head(name)
-            sizes = [(in_width, hidden[0])]
-            sizes += [(hidden[i], hidden[i + 1]) for i in range(len(hidden) - 1)]
-            sizes += [(hidden[-1], out_width)]
-            self.params.add_group(name, sizes)
+            _, out_width = self._head(name)
+            self.params.add_group(name, layer_sizes(in_width, hidden, out_width))
         context_width = sum(
             encoder.block_width(n) for n in self.critic_context_nodes
         )
-        critic_sizes = [(1 + context_width, critic_hidden[0])]
-        critic_sizes += [
-            (critic_hidden[i], critic_hidden[i + 1])
-            for i in range(len(critic_hidden) - 1)
-        ]
-        critic_sizes += [(critic_hidden[-1], 1)]
-        self.params.add_group("critic", critic_sizes, zero_final=True)
+        self.params.add_group(
+            "critic", layer_sizes(1 + context_width, critic_hidden, 1), zero_final=True
+        )
 
         self._descendants = graph.descendants(graph.sensitive)
         self._pi_active = (
@@ -126,7 +126,7 @@ class StructuredModel:
         return Tensor(x[:, self.encoder.block(name)])
 
     def _parent_input(self, values: dict[str, Tensor], name: str) -> Tensor:
-        return concat([values[p] for p in self.graph.parents(name)], axis=1)
+        return concat([values[p] for p in self.graph.parents(name)])
 
     def _node_output(self, name: str, inputs: Tensor) -> Tensor:
         head, _ = self._head(name)
@@ -137,7 +137,7 @@ class StructuredModel:
         spec = self.graph.node(name)
         if spec.kind == CONTINUOUS or not spec.is_binary:
             return output
-        return concat([1.0 - output, output], axis=1)
+        return concat([1.0 - output, output])
 
     @staticmethod
     def _clamped_block(rows: int, s_value: float) -> Tensor:
@@ -159,7 +159,7 @@ class StructuredModel:
                 ]
             else:
                 parent_values = [observed[p] for p in self.graph.parents(name)]
-            out = self._node_output(name, concat(parent_values, axis=1))
+            out = self._node_output(name, concat(parent_values))
             predictions[name] = self._block_repr(name, out)
         return predictions
 
@@ -252,8 +252,7 @@ class StructuredModel:
                             if (p, name) in self.mode.on_pi_edges
                             else reference[p]
                             for p in self.graph.parents(name)
-                        ],
-                        axis=1,
+                        ]
                     )
                     inter[name] = self._block_repr(name, self._node_output(name, inputs))
                 else:
@@ -311,7 +310,7 @@ class StructuredModel:
             return y
         if context is None:
             raise ModelError("critic context nodes configured but no context given")
-        return concat([y, Tensor(context)], axis=1)
+        return concat([y, Tensor(context)])
 
     def critic_context(self, x: np.ndarray) -> np.ndarray | None:
         if not self.critic_context_nodes:
@@ -339,9 +338,8 @@ class StructuredModel:
     ) -> Tensor:
         """Mean (||grad_x critic(x_hat)|| - 1)^2 at per-row interpolates.
 
-        x_hat mixes the paired outcome values with one uniform draw per row;
-        the penalty stays differentiable in the critic parameters through the
-        recorded input gradient (double backpropagation).
+        x_hat mixes the paired outcome values with one uniform draw per row
+        and appends the critic context; see :func:`nn.gradient_penalty`.
         """
         y_plus = np.asarray(y_plus, dtype=np.float64).reshape(-1, 1)
         y_minus = np.asarray(y_minus, dtype=np.float64).reshape(-1, 1)
@@ -351,12 +349,7 @@ class StructuredModel:
         mixed = u * y_plus + (1.0 - u) * y_minus
         if context is not None:
             mixed = np.concatenate([mixed, context], axis=1)
-        x_hat = Tensor(mixed)
-        value = mlp_forward(self.params.group("critic"), x_hat, "linear")
-        grad_x = input_gradient(value.sum(), x_hat, create_graph=True)
-        # tiny epsilon keeps the norm differentiable at an all-zero gradient
-        norm = ((grad_x * grad_x).sum(axis=1, keepdims=True) + 1e-24).sqrt()
-        return ((norm - 1.0) ** 2).mean()
+        return gradient_penalty(self.params.group("critic"), mixed)
 
     # -- persistence ------------------------------------------------------------
 

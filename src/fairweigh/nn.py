@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, input_gradient
 
 HEADS = ("linear", "logistic", "softmax")
 
@@ -81,6 +81,14 @@ class ParamStore:
                 p.data = arr.copy()
 
 
+def layer_sizes(
+    in_width: int, hidden: Sequence[int], out_width: int
+) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each layer of a net with the given hidden widths."""
+    widths = [in_width, *hidden, out_width]
+    return list(zip(widths, widths[1:]))
+
+
 def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, head: str) -> Tensor:
     """Run a batch through tanh hidden layers and the requested output head."""
     if head not in HEADS:
@@ -97,16 +105,26 @@ def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, head: str) -
     return z.softmax(axis=1)
 
 
-def learning_rate(eta0: float, progress: float, increasing: bool = False) -> float:
-    """Polynomial decay eta0 * (1 + 10 p)^(-0.75) over progress p in [0, 1].
+def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray) -> Tensor:
+    """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of ``x_hat``.
 
-    ``increasing=True`` flips the exponent sign, exposing the growing variant
-    for comparison runs; the decaying form is the default.
+    ``layers`` is a linear-head critic.  The penalty stays differentiable in
+    its parameters through the recorded input gradient (double
+    backpropagation).
     """
+    x = Tensor(x_hat)
+    value = mlp_forward(layers, x, "linear")
+    grad_x = input_gradient(value.sum(), x, create_graph=True)
+    # tiny epsilon keeps the norm differentiable at an all-zero gradient
+    norm = ((grad_x * grad_x).sum(axis=1, keepdims=True) + 1e-24).sqrt()
+    return ((norm - 1.0) ** 2).mean()
+
+
+def learning_rate(eta0: float, progress: float) -> float:
+    """Polynomial decay eta0 * (1 + 10 p)^(-0.75) over progress p in [0, 1]."""
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress must lie in [0, 1], got {progress}")
-    exponent = 0.75 if increasing else -0.75
-    return float(eta0) * (1.0 + 10.0 * progress) ** exponent
+    return float(eta0) * (1.0 + 10.0 * progress) ** -0.75
 
 
 def _check_finite(grads: Sequence[Tensor]) -> None:

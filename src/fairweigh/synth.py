@@ -23,6 +23,7 @@ from .graph import (
     parse_graph,
     pi_active_nodes,
     split_sections,
+    total_path_set,
 )
 
 __all__ = [
@@ -204,13 +205,15 @@ def _node_value(
 
 def _cascade(
     scm: SyntheticSCM, noise: dict[str, np.ndarray], n: int,
-    do_sensitive: float | None,
+    do_sensitive: float | None, nodes: list[str] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Propagate mechanisms; returns node values and the outcome probability."""
+    """Propagate mechanisms over ``nodes``, a topologically ordered set closed
+    under parents (default: every node); returns node values and the outcome
+    probability."""
     g = scm.graph
     values: dict[str, np.ndarray] = {}
     y_prob = None
-    for name in g.topo_order:
+    for name in g.topo_order if nodes is None else nodes:
         if do_sensitive is not None and name == g.sensitive:
             values[name] = np.full(n, float(do_sensitive))
             continue
@@ -254,17 +257,22 @@ def _condition_mask(
 
 
 def _path_specific_outcome(
-    scm: SyntheticSCM, ps: PathSet, noise: dict[str, np.ndarray], n: int, s_value: float,
-) -> np.ndarray:
-    """Outcome probability with the intervention routed only along pi edges."""
+    scm: SyntheticSCM, ps: PathSet, noise: dict[str, np.ndarray], n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probability with s=1 routed only along pi edges, and at the
+    s=0 reference, from one reference cascade over the outcome's ancestors."""
     g = scm.graph
     active = pi_active_nodes(g, ps)
-    reference, ref_y_prob = _cascade(scm, noise, n, do_sensitive=0.0)
+    ancestry = [
+        name for name in g.topo_order
+        if name == g.outcome or g.outcome in g.descendants(name)
+    ]
+    reference, p_ref = _cascade(scm, noise, n, 0.0, ancestry)
     inter: dict[str, np.ndarray] = {}
-    y_prob = None
-    for name in g.topo_order:
+    p_plus = p_ref
+    for name in ancestry:
         if name == g.sensitive:
-            inter[name] = np.full(n, s_value)
+            inter[name] = np.full(n, 1.0)
             continue
         if name not in active:
             inter[name] = reference[name]
@@ -274,11 +282,10 @@ def _path_specific_outcome(
             for p in g.parents(name)
         }
         if name == g.outcome:
-            y_prob = scm.functions[name].mean_or_prob(parent_values, n)
-            inter[name] = (noise[name] < y_prob).astype(np.float64)
+            p_plus = scm.functions[name].mean_or_prob(parent_values, n)
         else:
             inter[name] = _node_value(scm, name, parent_values, noise, n)
-    return y_prob if y_prob is not None else ref_y_prob
+    return p_plus, p_ref
 
 
 def oracle_effect(
@@ -291,25 +298,21 @@ def oracle_effect(
 
     The exogenous draw is shared across intervention arms, and the outcome
     enters as its success probability rather than a sample, which removes the
-    outcome-level Monte Carlo noise from the contrast.
+    outcome-level Monte Carlo noise from the contrast.  Total and
+    counterfactual effects route the intervention along every path, which
+    equals clamping the sensitive node.
     """
     rng = np.random.default_rng(seed)
     noise = _draw_noise(scm, n, rng)
-
-    if path_set.mode == "path_specific":
-        p_plus = _path_specific_outcome(scm, path_set, noise, n, s_value=1.0)
-        _, p_ref = _cascade(scm, noise, n, do_sensitive=0.0)
-        diff = p_plus - p_ref
-    else:
-        _, p_plus = _cascade(scm, noise, n, do_sensitive=1.0)
-        _, p_minus = _cascade(scm, noise, n, do_sensitive=0.0)
-        diff = p_plus - p_minus
-        if path_set.mode == "counterfactual":
-            observed, _ = _cascade(scm, noise, n, do_sensitive=None)
-            mask = _condition_mask(scm, observed, path_set.condition)
-            if not mask.any():
-                raise GraphError(f"no draws match condition {path_set.condition}")
-            diff = diff[mask]
+    route = path_set if path_set.mode == "path_specific" else total_path_set(scm.graph)
+    p_plus, p_minus = _path_specific_outcome(scm, route, noise, n)
+    diff = p_plus - p_minus
+    if path_set.mode == "counterfactual":
+        observed, _ = _cascade(scm, noise, n, do_sensitive=None)
+        mask = _condition_mask(scm, observed, path_set.condition)
+        if not mask.any():
+            raise GraphError(f"no draws match condition {path_set.condition}")
+        diff = diff[mask]
 
     estimate = float(diff.mean())
     stderr = float(diff.std(ddof=0) / np.sqrt(diff.size))

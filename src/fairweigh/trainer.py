@@ -70,7 +70,6 @@ class TrainConfig:
     seed: int = 0
     hidden: tuple[int, ...] = (32, 32)
     critic_hidden: tuple[int, ...] = (32, 32, 32)
-    lr_increasing: bool = False
     observational_cascade: bool = False
 
     def __post_init__(self):
@@ -155,9 +154,7 @@ class _Loop:
             raise FloatingPointError("non-finite fit loss")
         grads = backward(loss, self.fit_params)
         lr = learning_rate(
-            self.config.eta0,
-            progress(self.completed_fit_steps, self.total_fit_steps),
-            increasing=self.config.lr_increasing,
+            self.config.eta0, progress(self.completed_fit_steps, self.total_fit_steps)
         )
         self.fit_opt.step(grads, lr)
         self.completed_fit_steps += 1
@@ -328,7 +325,8 @@ def repeat_protocol(
         model, weight_vector, log = train(model, train_ds, rep_config)
         w = weight_vector.values
         x_train = encoder.transform(train_ds)
-        effects.append(estimate_effect(model, train_ds, x_train, w))
+        # the last epoch's effect is already that of the final weights
+        effects.append(log[-1].effect)
         gaps.append(discriminator_gap(model, train_ds, w, x_train))
         parities.append(
             statistical_parity(

@@ -1,8 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
-from fairweigh.autodiff import Tensor, backward, concat, input_gradient, no_grad, replay
-from fairweigh.nn import ParamStore, finite_difference, mlp_forward
+from fairweigh.autodiff import Tensor, backward, concat, input_gradient, no_grad
+from fairweigh.nn import ParamStore, finite_difference, gradient_penalty, mlp_forward
 
 from conftest import relative_error
 
@@ -71,7 +73,7 @@ def test_softmax_concat_path_matches_finite_differences():
     params = store.parameters()
 
     def loss_fn():
-        p = mlp_forward(store.group("net"), concat([a, b], axis=1), "softmax")
+        p = mlp_forward(store.group("net"), concat([a, b]), "softmax")
         return -(target * (p + 1e-12).log()).sum(axis=1).mean()
 
     grads = backward(loss_fn(), params)
@@ -129,21 +131,56 @@ def test_double_backprop_penalty_matches_finite_differences(seed):
         assert relative_error(g.data, r) < 1e-4
 
 
-def test_replay_reproduces_forward_bit_for_bit():
-    store = random_net(11)
-    rng = np.random.default_rng(12)
-    x = Tensor(rng.uniform(-1, 1, (6, 3)))
-    out = mlp_forward(store.group("net"), x, "logistic")
-    loss = ((out - 0.5) ** 2).mean()
-    assert np.array_equal(replay(loss), loss.data)
-    assert np.array_equal(replay(out), out.data)
-
-
 def test_no_grad_produces_leaves():
     store = random_net(13)
+    a = Tensor(np.full((2, 3), 0.5))
+    b = Tensor(np.full((3, 2), 2.0))
+    primitives = {
+        "add": lambda: a + 1.0,
+        "sub": lambda: a - 1.0,
+        "rsub": lambda: 1.0 - a,
+        "mul": lambda: a * 2.0,
+        "div": lambda: a / 2.0,
+        "neg": lambda: -a,
+        "pow": lambda: a**2,
+        "matmul": lambda: a @ b,
+        "log": lambda: a.log(),
+        "sqrt": lambda: a.sqrt(),
+        "tanh": lambda: a.tanh(),
+        "sigmoid": lambda: a.sigmoid(),
+        "softmax": lambda: a.softmax(axis=1),
+        "T": lambda: a.T,
+        "reshape": lambda: a.reshape((3, 2)),
+        "broadcast_to": lambda: a.broadcast_to((4, 2, 3)),
+        "slice_cols": lambda: a.slice_cols(1, 2),
+        "sum": lambda: a.sum(),
+        "mean": lambda: a.mean(axis=0),
+        "concat": lambda: concat([a, b.T]),
+        "mlp": lambda: mlp_forward(store.group("net"), Tensor(np.ones((2, 3))), "linear"),
+    }
     with no_grad():
-        out = mlp_forward(store.group("net"), Tensor(np.ones((2, 3))), "linear")
-    assert out.parents == () and out._vjp is None
+        for name, make in primitives.items():
+            out = make()
+            assert out.parents == () and out._vjp is None, name
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    """A recorded forward, input-gradient penalty and backward leave no
+    reference cycle behind: every node is freed by reference counting."""
+    store = random_net(14)
+    x = np.random.default_rng(15).uniform(-1, 1, (6, 3))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        out = mlp_forward(store.group("net"), Tensor(x), "logistic")
+        loss = (out * out).mean() + gradient_penalty(store.group("net"), x)
+        backward(loss, store.parameters())
+        del out, loss
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_backward_requires_scalar():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -220,3 +223,27 @@ def test_failed_weight_solve_exits_3(workspace, monkeypatch):
 
     monkeypatch.setattr(trainer, "solve_weights", fail)
     assert main(["reweigh", "--config", str(config_for(workspace, "solve_fails"))]) == 3
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    """numpy is the only runtime dependency: a fresh interpreter importing the
+    package and its CLI loads no other third-party module."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fairweigh, fairweigh.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+        check=True,
+    )
+    loaded = {name.split(".")[0] for name in result.stdout.split()}
+    assert "fairweigh" in loaded
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fairweigh"}
+    assert loaded <= allowed, sorted(loaded - allowed)

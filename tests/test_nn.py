@@ -93,9 +93,6 @@ def test_learning_rate_schedule():
     assert abs(learning_rate(0.01, 1.0) - 0.0016556) < 1e-6
     grid = [learning_rate(0.01, p) for p in np.linspace(0, 1, 100)]
     assert all(a > b for a, b in zip(grid, grid[1:]))
-    # the growing variant is exposed behind a flag
-    rising = [learning_rate(0.01, p, increasing=True) for p in np.linspace(0, 1, 100)]
-    assert all(a < b for a, b in zip(rising, rising[1:]))
     with pytest.raises(ValueError):
         learning_rate(0.01, 1.5)
 

@@ -8,6 +8,8 @@ from fairweigh.graph import (
     total_path_set,
 )
 from fairweigh.synth import (
+    _cascade,
+    _draw_noise,
     benchmark_scm,
     generate,
     oracle_effect,
@@ -188,6 +190,30 @@ def test_counterfactual_oracle_filters_condition():
     ce, se = oracle_effect(scm, ps, n=100_000, seed=5)
     te, _ = oracle_effect(scm, total_path_set(scm.graph), n=100_000, seed=5)
     assert se > 0 and ce != te
+
+
+@pytest.mark.parametrize("condition", [(), (("x2", "1"),)], ids=["total", "counterfactual"])
+def test_oracle_route_equals_two_clamp_contrast(condition):
+    """Total and counterfactual path sets select every s -> y edge, so routing
+    the intervention along them equals clamping s, bit for bit."""
+    scm = benchmark_scm(seed=4)
+    ps = (
+        counterfactual_path_set(scm.graph, condition)
+        if condition
+        else total_path_set(scm.graph)
+    )
+    n = 20_000
+    estimate, stderr = oracle_effect(scm, ps, n=n, seed=6)
+
+    noise = _draw_noise(scm, n, np.random.default_rng(6))
+    _, p_plus = _cascade(scm, noise, n, do_sensitive=1.0)
+    _, p_minus = _cascade(scm, noise, n, do_sensitive=0.0)
+    diff = p_plus - p_minus
+    if condition:
+        observed, _ = _cascade(scm, noise, n, do_sensitive=None)
+        diff = diff[observed["x2"] == 1.0]
+    assert estimate == float(diff.mean())
+    assert stderr == float(diff.std(ddof=0) / np.sqrt(diff.size))
 
 
 def test_benchmark_default_has_material_effect():
