@@ -1,37 +1,41 @@
 """Reverse-mode automatic differentiation over batched dense float64 arrays.
 
 A :class:`Tensor` wraps an ndarray and remembers the primitive operation that
-produced it, so a computation builds an operation tape as a DAG.  Gradients
-are themselves Tensors computed with the same recorded primitives, which makes
-second derivatives available: differentiating a gradient norm with respect to
-upstream parameters is an ordinary second call to :func:`backward` with
-``create_graph=True`` on the first.
+produced it, so a computation builds an operation tape as a DAG.
+
+The tape is first-order: :func:`backward` runs with recording off and returns
+plain gradients that cannot be differentiated again.  The one second-order
+quantity the model needs, the critic's gradient penalty, has a closed-form
+parameter gradient (:func:`fairweigh.nn.gradient_penalty`) that enters the
+tape as a single node.  Double backpropagation through the generic tape gave
+the same numbers, but recorded every node of the input gradient and
+differentiated it again, which made it the larger part of each critic step.
 
 Every primitive is one ``Tensor(data, parents, vjp=...)`` call.  Its
 vector-Jacobian product ``vjp(g, out)`` receives the gradient ``g`` of the
 output and the output node ``out`` itself, and returns one gradient per
 parent; :func:`backward` calls it as ``node._vjp(g, node)``.  A primitive
-whose derivative is written in terms of its output (tanh, sigmoid, softmax,
-sqrt) reads it from ``out`` instead of closing over it.  The tape must stay
+whose derivative is written in terms of its output (tanh, sigmoid, softmax)
+reads it from ``out`` instead of closing over it.  The tape must stay
 acyclic: a node references its parents and never the reverse, so reference
 counting frees each activation as soon as the last tensor built on it goes,
 without waiting for the cyclic garbage collector.
 
 All arithmetic is float64.  The engine is deliberately small: affine maps,
 pointwise activations, softmax, concatenation and reductions are everything a
-dense feed-forward net with a gradient-penalty critic needs.
+dense feed-forward net needs.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "affine",
     "backward",
-    "input_gradient",
     "no_grad",
     "concat",
 ]
@@ -86,13 +90,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.parents = ()
-        out._vjp = None
-        return out
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={self._vjp is None})"
@@ -170,7 +167,7 @@ class Tensor:
                 f"matmul expects 2-D operands, got {self.shape} @ {other.shape}"
             )
         return Tensor(
-            self.data @ other.data,
+            _matmul(self.data, other.data),
             (self, other),
             vjp=lambda g, out: (g @ other.T, self.T @ g),
         )
@@ -179,11 +176,6 @@ class Tensor:
 
     def log(self):
         return Tensor(np.log(self.data), (self,), vjp=lambda g, out: (g / self,))
-
-    def sqrt(self):
-        return Tensor(
-            np.sqrt(self.data), (self,), vjp=lambda g, out: (g * 0.5 / out,)
-        )
 
     def tanh(self):
         return Tensor(
@@ -226,17 +218,6 @@ class Tensor:
             vjp=lambda g, out: (_unbroadcast(g, old),),
         )
 
-    def slice_cols(self, start: int, stop: int):
-        """Columns ``start:stop`` of a 2-D tensor, 0 <= start <= stop <= width."""
-        if self.ndim != 2:
-            raise ValueError("slice_cols expects a 2-D tensor")
-        width = self.shape[1]
-        return Tensor(
-            self.data[:, start:stop],
-            (self,),
-            vjp=lambda g, out: (_embed_cols(g, width, start, stop),),
-        )
-
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
@@ -262,6 +243,23 @@ class Tensor:
             [self.shape[a] for a in ((axis,) if isinstance(axis, int) else axis)]
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; at inner dimension 1 the exact outer product ``a * b``,
+    which BLAS computes several times slower than a wider product."""
+    if a.shape[1] == 1:
+        return a * b
+    return a @ b
+
+
+def affine(h: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``h @ weight + bias`` as one tape node (2-D ``h``, 1-D ``bias``)."""
+    return Tensor(
+        _matmul(h.data, weight.data) + bias.data,
+        (h, weight, bias),
+        vjp=lambda g, out: (g @ weight.T, h.T @ g, g.sum(axis=0)),
+    )
 
 
 def _lift(value) -> Tensor:
@@ -296,17 +294,6 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
     return g
 
 
-def _embed_cols(g: Tensor, width: int, start: int, stop: int) -> Tensor:
-    """Scatter a column-slice gradient into a zero tensor of full width."""
-    rows = g.shape[0]
-    pieces = [g]
-    if start > 0:
-        pieces.insert(0, Tensor(np.zeros((rows, start))))
-    if stop < width:
-        pieces.append(Tensor(np.zeros((rows, width - stop))))
-    return concat(pieces)
-
-
 def concat(tensors) -> Tensor:
     """Concatenate 2-D tensors along their columns (tape-recorded)."""
     tensors = [_lift(t) for t in tensors]
@@ -317,7 +304,7 @@ def concat(tensors) -> Tensor:
         np.concatenate([t.data for t in tensors], axis=1),
         tensors,
         vjp=lambda g, out: tuple(
-            g.slice_cols(lo, hi) for lo, hi in zip(offsets, offsets[1:])
+            Tensor(g.data[:, lo:hi]) for lo, hi in zip(offsets, offsets[1:])
         ),
     )
 
@@ -341,17 +328,16 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents precede children
 
 
-def backward(output: Tensor, wrt, create_graph: bool = False) -> list[Tensor]:
+def backward(output: Tensor, wrt) -> list[Tensor]:
     """Gradients of a scalar ``output`` with respect to each tensor in ``wrt``.
 
-    With ``create_graph=True`` the returned gradients are themselves recorded,
-    so expressions built from them (for example a gradient-norm penalty) can be
-    differentiated again.
+    The returned gradients are leaves: nothing is recorded while they are
+    computed.
     """
     if output.size != 1:
         raise ValueError(f"backward expects a scalar output, got shape {output.shape}")
     grads: dict[int, Tensor] = {id(output): Tensor(np.ones_like(output.data))}
-    with nullcontext() if create_graph else no_grad():
+    with no_grad():
         for node in reversed(_toposort(output)):
             g = grads.get(id(node))
             if g is None or node._vjp is None:
@@ -360,22 +346,6 @@ def backward(output: Tensor, wrt, create_graph: bool = False) -> list[Tensor]:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
 
-    out = []
-    for t in wrt:
-        g = grads.get(id(t))
-        if g is None:
-            g = Tensor(np.zeros_like(t.data))
-        elif not create_graph:
-            g = g.detach()
-        out.append(g)
-    return out
-
-
-def input_gradient(output: Tensor, x: Tensor, create_graph: bool = True) -> Tensor:
-    """Gradient of a scalar output with respect to the input tensor ``x``.
-
-    Recorded on the tape by default so that penalties built from it remain
-    differentiable with respect to any parameters upstream of ``output``.
-    """
-    (gx,) = backward(output, [x], create_graph=create_graph)
-    return gx
+    return [
+        grads[id(t)] if id(t) in grads else Tensor(np.zeros_like(t.data)) for t in wrt
+    ]

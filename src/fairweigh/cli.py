@@ -276,6 +276,11 @@ def _read_weights(path, m: int) -> np.ndarray:
             if not 0 <= i < m:
                 raise ConfigError(f"weight index {i} outside dataset of {m} rows")
             w[i] = float(row["weight"])
+            if not (np.isfinite(w[i]) and w[i] >= 0):
+                raise ConfigError(
+                    f"weight at index {i} is {row['weight']!r}; weights must be "
+                    "finite and non-negative"
+                )
     if np.isnan(w).any():
         missing = int(np.isnan(w).sum())
         raise ConfigError(f"weights file covers {m - missing} of {m} rows")
@@ -289,6 +294,7 @@ def cmd_effects(args) -> int:
     validate_path_set(graph, mode)
     train_config = build_train_config(config)
     tau = float(config.get("tau", 0.05))
+    weights = _read_weights(args.weights, ds.m) if args.weights else None
 
     encoder = Encoder().fit(ds, declared_levels)
     model = StructuredModel(
@@ -307,7 +313,6 @@ def cmd_effects(args) -> int:
         # fit without reweighting: a vanishing balance pins weights at one
         model, _, _ = train(model, ds, replace(train_config, balance=1e-9))
 
-    weights = _read_weights(args.weights, ds.m) if args.weights else None
     x = encoder.transform(ds)
     effect = estimate_effect(model, ds, x, weights)
     gap = discriminator_gap(model, ds, weights, x)

@@ -29,6 +29,7 @@ __all__ = [
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
+_EXPORT_BLOCK = 1024  # rows per block of export_weights
 
 
 class DataError(ValueError):
@@ -287,10 +288,15 @@ def export_weights(ds: ColumnarDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "weight", *ds.names])
-        for i in order:
-            row = [int(i), repr(float(ds.weights[i]))]
+        # column by column, in blocks of rows that bound the cells held at once
+        for start in range(0, ds.m, _EXPORT_BLOCK):
+            rows = order[start : start + _EXPORT_BLOCK]
+            cells = [rows.tolist(), [repr(v) for v in ds.weights[rows].tolist()]]
             for col in ds.columns:
-                value = col.values[i]
-                row.append(repr(float(value)) if col.kind == CONTINUOUS else str(value))
-            writer.writerow(row)
+                values = col.values[rows]
+                if col.kind == CONTINUOUS:
+                    cells.append([repr(v) for v in values.astype(np.float64).tolist()])
+                else:
+                    cells.append([str(v) for v in values.tolist()])
+            writer.writerows(zip(*cells))
 

@@ -38,6 +38,12 @@ def _normalized(weights: np.ndarray, m: int) -> np.ndarray:
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError(f"weights shape {w.shape} does not match m={m}")
+    bad = ~(np.isfinite(w) & (w >= 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"weights must be finite and non-negative; position {i} holds {w[i]!r}"
+        )
     total = w.sum()
     if total <= 0:
         raise ValueError("weights must have positive total mass")
@@ -174,10 +180,14 @@ def wasserstein_estimate(
     opt = Adam(params, lr)
     rng = np.random.default_rng([seed, 3])
 
+    # the draws of rng.choice(x_b.shape[0], size=batch, p=omega), with the
+    # CDF built once instead of on every step
+    cdf = omega.cumsum()
+    cdf /= cdf[-1]
     batch = min(batch_size, x_a.shape[0], x_b.shape[0])
     for _ in range(steps):
         rows_a = x_a[rng.integers(0, x_a.shape[0], size=batch)]
-        rows_b = x_b[rng.choice(x_b.shape[0], size=batch, p=omega)]
+        rows_b = x_b[cdf.searchsorted(rng.random(batch), side="right")]
         value_a = mlp_forward(store.group("critic"), Tensor(rows_a), "linear")
         value_b = mlp_forward(store.group("critic"), Tensor(rows_b), "linear")
         u = rng.uniform(0.0, 1.0, size=(batch, 1))

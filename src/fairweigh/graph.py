@@ -147,6 +147,13 @@ class CausalGraph:
                 frontier.extend(self._children[node])
         return frozenset(out)
 
+    def outcome_ancestry(self) -> tuple[str, ...]:
+        """The outcome and every node it depends on, in topological order."""
+        return tuple(
+            n for n in self.topo_order
+            if n == self.outcome or self.outcome in self.descendants(n)
+        )
+
     @property
     def has_effect_path(self) -> bool:
         """Whether any directed path runs from the sensitive node to the outcome."""

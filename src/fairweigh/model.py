@@ -108,6 +108,13 @@ class StructuredModel:
         )
 
         self._descendants = graph.descendants(graph.sensitive)
+        # the clamped cascades run only what the outcome can depend on
+        self._outcome_ancestry = graph.outcome_ancestry()
+        # encoded columns of each sub-network's parents, in parent order
+        self._parent_columns = {
+            name: np.r_[tuple(encoder.block(p) for p in graph.parents(name))]
+            for name in self.sub_network_nodes
+        }
         self._pi_active = (
             pi_active_nodes(graph, mode) if mode.mode == "path_specific" else frozenset()
         )
@@ -150,17 +157,18 @@ class StructuredModel:
 
     def _observational_values(self, x: np.ndarray) -> dict[str, Tensor]:
         """Per-node predictions; teacher-forced by default, cascaded on request."""
-        observed = {n: self._observed_block(x, n) for n in self.graph.column_names()}
         predictions: dict[str, Tensor] = {}
         for name in self.sub_network_nodes:
             if self.observational_cascade:
-                parent_values = [
-                    predictions.get(p, observed[p]) for p in self.graph.parents(name)
-                ]
+                inputs = concat(
+                    [
+                        predictions[p] if p in predictions else self._observed_block(x, p)
+                        for p in self.graph.parents(name)
+                    ]
+                )
             else:
-                parent_values = [observed[p] for p in self.graph.parents(name)]
-            out = self._node_output(name, concat(parent_values))
-            predictions[name] = self._block_repr(name, out)
+                inputs = Tensor(x[:, self._parent_columns[name]])
+            predictions[name] = self._block_repr(name, self._node_output(name, inputs))
         return predictions
 
     def predict_observed(self, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -198,10 +206,10 @@ class StructuredModel:
     def _interventional_values(
         self, x: np.ndarray, s_value: float
     ) -> dict[str, Tensor]:
-        """Ancestral cascade: sensitive clamped, its descendants propagated,
-        everything else observed."""
+        """Ancestral cascade over the outcome's ancestors: sensitive clamped,
+        its descendants propagated, everything else observed."""
         values: dict[str, Tensor] = {}
-        for name in self.graph.topo_order:
+        for name in self._outcome_ancestry:
             if name == self.graph.sensitive:
                 values[name] = self._clamped_block(x.shape[0], s_value)
             elif name in self._descendants:
@@ -242,7 +250,7 @@ class StructuredModel:
         with no_grad():
             reference = self._interventional_values(x, 0.0)
             inter: dict[str, Tensor] = {}
-            for name in self.graph.topo_order:
+            for name in self._outcome_ancestry:
                 if name == self.graph.sensitive:
                     inter[name] = self._clamped_block(x.shape[0], float(s))
                 elif name in self._pi_active:

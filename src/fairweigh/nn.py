@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, input_gradient
+from .autodiff import Tensor, _matmul, affine
 
 HEADS = ("linear", "logistic", "softmax")
 
@@ -95,9 +95,8 @@ def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, head: str) -
         raise ValueError(f"unknown head {head!r}")
     h = x
     for weight, bias in layers[:-1]:
-        h = (h @ weight + bias).tanh()
-    weight, bias = layers[-1]
-    z = h @ weight + bias
+        h = affine(h, weight, bias).tanh()
+    z = affine(h, *layers[-1])
     if head == "linear":
         return z
     if head == "logistic":
@@ -106,18 +105,68 @@ def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, head: str) -
 
 
 def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray) -> Tensor:
-    """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of ``x_hat``.
+    """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of ``x_hat``, as
+    one tape node whose parameter gradient is computed in closed form.
 
-    ``layers`` is a linear-head critic.  The penalty stays differentiable in
-    its parameters through the recorded input gradient (double
-    backpropagation).
+    ``layers`` is a critic with tanh hidden layers and a linear head of width
+    1, layers l = 1..L with weights W_l and biases b_l.  With B rows:
+
+    - Forward: h_0 = x_hat and h_l = tanh(h_{l-1} W_l + b_l) for l < L.
+    - Input gradient: r_{L-1} = W_L[:, 0] on every row; then
+      rho_l = r_l * (1 - h_l^2) and r_{l-1} = rho_l W_l^T.
+    - Value: n = sqrt(||r_0||^2 + 1e-24) per row (the epsilon keeps the norm
+      differentiable at a zero gradient); the penalty is mean((n - 1)^2).
+    - Gradient through the chain: start from R = (2/B) (n - 1)/n * r_0.  For
+      l = 1..L-1: dW_l += R^T rho_l, Q = R W_l, D_l = -2 Q * r_l * h_l,
+      R = Q * (1 - h_l^2).  Then dW_L[:, 0] += sum over rows of R.
+    - Gradient through the forward, with D_l injected: start from G = 0.  For
+      l = L-1..1: A = (G + D_l) * (1 - h_l^2), dW_l += h_{l-1}^T A,
+      db_l += sum over rows of A, G = A W_l^T.  db_L is 0.
+
+    The value equals what double backpropagation through the tape gives, bit
+    for bit; the gradients agree to rounding.
     """
-    x = Tensor(x_hat)
-    value = mlp_forward(layers, x, "linear")
-    grad_x = input_gradient(value.sum(), x, create_graph=True)
-    # tiny epsilon keeps the norm differentiable at an all-zero gradient
-    norm = ((grad_x * grad_x).sum(axis=1, keepdims=True) + 1e-24).sqrt()
-    return ((norm - 1.0) ** 2).mean()
+    weights = [w.data for w, _ in layers]
+    if weights[-1].shape[1] != 1:
+        raise ValueError(
+            f"gradient penalty needs a critic head of width 1, got {weights[-1].shape[1]}"
+        )
+    depth = len(weights) - 1
+    hs = [np.asarray(x_hat, dtype=np.float64)]
+    for weight, (_, bias) in zip(weights[:-1], layers[:-1]):
+        hs.append(np.tanh(_matmul(hs[-1], weight) + bias.data))
+    rows = hs[0].shape[0]
+    # r[l] and rho[l] of the docstring; slopes[l] = 1 - h_l^2
+    r = [None] * depth + [np.broadcast_to(weights[-1][:, 0], (rows, weights[-1].shape[0]))]
+    rho = [None] * (depth + 1)
+    slopes = [None] + [1.0 - h * h for h in hs[1:]]
+    for l in range(depth, 0, -1):
+        rho[l] = r[l] * slopes[l]
+        r[l - 1] = rho[l] @ weights[l - 1].T
+    norm = np.sqrt((r[0] * r[0]).sum(axis=1, keepdims=True) + 1e-24)
+    value = ((norm - 1.0) ** 2.0).sum() * (1.0 / float(rows))
+
+    grad_w = [None] * (depth + 1)
+    inject = [None] * (depth + 1)
+    big_r = (2.0 / rows) * (norm - 1.0) / norm * r[0]
+    for l in range(1, depth + 1):
+        grad_w[l - 1] = big_r.T @ rho[l]
+        q = big_r @ weights[l - 1]
+        inject[l] = -2.0 * q * r[l] * hs[l]
+        big_r = q * slopes[l]
+    grad_w[depth] = big_r.sum(axis=0).reshape(-1, 1)
+    grad_b = [None] * depth + [np.zeros(1)]
+    g = 0.0
+    for l in range(depth, 0, -1):
+        a = (g + inject[l]) * slopes[l]
+        grad_w[l - 1] += hs[l - 1].T @ a
+        grad_b[l - 1] = a.sum(axis=0)
+        if l > 1:
+            g = a @ weights[l - 1].T
+
+    params = [p for layer in layers for p in layer]
+    grads = [Tensor(gr) for pair in zip(grad_w, grad_b) for gr in pair]
+    return Tensor(value, params, vjp=lambda g, out: tuple(g * gr for gr in grads))
 
 
 def learning_rate(eta0: float, progress: float) -> float:

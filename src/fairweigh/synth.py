@@ -205,7 +205,7 @@ def _node_value(
 
 def _cascade(
     scm: SyntheticSCM, noise: dict[str, np.ndarray], n: int,
-    do_sensitive: float | None, nodes: list[str] | None = None,
+    do_sensitive: float | None, nodes: tuple[str, ...] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Propagate mechanisms over ``nodes``, a topologically ordered set closed
     under parents (default: every node); returns node values and the outcome
@@ -263,10 +263,7 @@ def _path_specific_outcome(
     s=0 reference, from one reference cascade over the outcome's ancestors."""
     g = scm.graph
     active = pi_active_nodes(g, ps)
-    ancestry = [
-        name for name in g.topo_order
-        if name == g.outcome or g.outcome in g.descendants(name)
-    ]
+    ancestry = g.outcome_ancestry()
     reference, p_ref = _cascade(scm, noise, n, 0.0, ancestry)
     inter: dict[str, np.ndarray] = {}
     p_plus = p_ref

@@ -3,8 +3,14 @@ import gc
 import numpy as np
 import pytest
 
-from fairweigh.autodiff import Tensor, backward, concat, input_gradient, no_grad
-from fairweigh.nn import ParamStore, finite_difference, gradient_penalty, mlp_forward
+from fairweigh.autodiff import Tensor, _matmul, affine, backward, concat, no_grad
+from fairweigh.nn import (
+    ParamStore,
+    finite_difference,
+    gradient_penalty,
+    layer_sizes,
+    mlp_forward,
+)
 
 from conftest import relative_error
 
@@ -82,53 +88,62 @@ def test_softmax_concat_path_matches_finite_differences():
         assert relative_error(g.data, r) < 1e-4
 
 
-def test_input_gradient_of_affine_is_the_weight():
-    w = Tensor(np.array([[2.5]]))
-    b = Tensor(np.array([0.3]))
-    x = Tensor(np.array([[0.1], [0.9], [0.4]]))
-    out = (x @ w + b).sum()
-    gx = input_gradient(out, x, create_graph=False)
-    assert np.allclose(gx.data, 2.5)
+SMALL_CRITIC = ((2, 5), (5, 4), (4, 1))
+MODEL_CRITIC = tuple(layer_sizes(1, (32, 32, 32), 1))
 
 
-def test_input_gradient_matches_finite_differences_in_x():
-    store = random_net(9, sizes=((1, 8), (8, 1)))
-    x0 = np.array([[0.3], [0.7]])
-
-    def value(x):
-        return float(mlp_forward(store.group("net"), Tensor(x), "linear").sum().data)
-
-    x = Tensor(x0.copy())
-    gx = input_gradient(mlp_forward(store.group("net"), x, "linear").sum(), x)
-    step = 1e-6
-    for i in range(2):
-        bumped = x0.copy()
-        bumped[i, 0] += step
-        dipped = x0.copy()
-        dipped[i, 0] -= step
-        fd = (value(bumped) - value(dipped)) / (2 * step)
-        assert abs(gx.data[i, 0] - fd) < 1e-6
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_double_backprop_penalty_matches_finite_differences(seed):
+@pytest.mark.parametrize(
+    "seed, sizes",
+    [(seed, SMALL_CRITIC) for seed in range(10)] + [(10, MODEL_CRITIC)],
+    ids=[*map(str, range(10)), "model-critic"],
+)
+def test_double_backprop_penalty_matches_finite_differences(seed, sizes):
     """(||grad_x D(x)|| - 1)^2 differentiated in the parameters."""
-    store = random_net(seed, sizes=((2, 5), (5, 4), (4, 1)))
+    store = random_net(seed, sizes=sizes)
     rng = np.random.default_rng(seed)
-    x0 = rng.uniform(-1, 1, (4, 2))
+    x0 = rng.uniform(-1, 1, (4, sizes[0][0]))
     params = store.parameters()
 
     def penalty_fn():
-        x = Tensor(x0)
-        out = mlp_forward(store.group("net"), x, "linear")
-        gx = input_gradient(out.sum(), x, create_graph=True)
-        norm = ((gx * gx).sum(axis=1, keepdims=True) + 1e-24).sqrt()
-        return ((norm - 1.0) ** 2).mean()
+        return gradient_penalty(store.group("net"), x0)
 
     grads = backward(penalty_fn(), params)
     reference = finite_difference(penalty_fn, params)
     for g, r in zip(grads, reference):
         assert relative_error(g.data, r) < 1e-4
+
+
+@pytest.mark.parametrize("sizes", [SMALL_CRITIC, MODEL_CRITIC])
+def test_penalty_value_matches_finite_difference_input_gradient(sizes):
+    store = random_net(16, sizes=sizes)
+    x0 = np.random.default_rng(17).uniform(-1, 1, (6, sizes[0][0]))
+
+    def critic(x):
+        return mlp_forward(store.group("net"), Tensor(x), "linear").data[:, 0]
+
+    step = 1e-6
+    grad_x = np.zeros_like(x0)
+    for j in range(x0.shape[1]):
+        bump = np.zeros_like(x0)
+        bump[:, j] = step
+        grad_x[:, j] = (critic(x0 + bump) - critic(x0 - bump)) / (2 * step)
+    expected = np.mean((np.sqrt((grad_x**2).sum(axis=1)) - 1.0) ** 2)
+    value = float(gradient_penalty(store.group("net"), x0).data)
+    assert abs(value - expected) < 1e-8 * max(1.0, abs(expected))
+
+
+def test_penalty_rejects_a_wide_head():
+    store = random_net(18, sizes=((3, 4), (4, 2)))
+    with pytest.raises(ValueError, match="width 1"):
+        gradient_penalty(store.group("net"), np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("shape", [((640, 1), (1, 32)), ((5, 1), (1, 1)), ((3, 1), (1, 7))])
+def test_matmul_at_inner_dimension_one_is_exact(shape):
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=shape[0])
+    b = rng.normal(size=shape[1])
+    assert np.array_equal(_matmul(a, b), a @ b)
 
 
 def test_no_grad_produces_leaves():
@@ -144,15 +159,14 @@ def test_no_grad_produces_leaves():
         "neg": lambda: -a,
         "pow": lambda: a**2,
         "matmul": lambda: a @ b,
+        "affine": lambda: affine(a, b, Tensor(np.ones(2))),
         "log": lambda: a.log(),
-        "sqrt": lambda: a.sqrt(),
         "tanh": lambda: a.tanh(),
         "sigmoid": lambda: a.sigmoid(),
         "softmax": lambda: a.softmax(axis=1),
         "T": lambda: a.T,
         "reshape": lambda: a.reshape((3, 2)),
         "broadcast_to": lambda: a.broadcast_to((4, 2, 3)),
-        "slice_cols": lambda: a.slice_cols(1, 2),
         "sum": lambda: a.sum(),
         "mean": lambda: a.mean(axis=0),
         "concat": lambda: concat([a, b.T]),

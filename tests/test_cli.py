@@ -162,6 +162,18 @@ def test_effects_with_wrong_length_weights(workspace):
     assert main(["effects", "--config", str(config), "--weights", str(weights)]) == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-0.5"])
+def test_effects_rejects_a_bad_weight_naming_its_row(workspace, capsys, cell):
+    config = config_for(workspace, "run5")
+    m = len((workspace / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
+    rows = [f"{i},{cell if i == 4 else '1.0'}" for i in range(m)]
+    weights = workspace / "bad_weight.csv"
+    weights.write_text("index,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["effects", "--config", str(config), "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert "index 4" in err and "finite and non-negative" in err
+
+
 def test_effects_fit_and_checkpoint_round(workspace):
     run_dir = workspace / "run6"
     config = config_for(workspace, "run6")

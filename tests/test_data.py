@@ -169,6 +169,25 @@ def test_export_weights_sorted_with_stable_ties(tmp_path):
     assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
 
 
+def test_export_weights_pins_the_exact_bytes(tmp_path):
+    ds = ColumnarDataset(
+        [
+            Column("v", "continuous", np.array([1e-05, 2.5, -3.0, 0.1])),
+            Column("g", "categorical", np.array(["b", "a,c", "a", "b"])),
+        ],
+        weights=np.array([0.5, 1e-05, 2.0, 0.5]),
+    )
+    out = tmp_path / "w.csv"
+    export_weights(ds, out)
+    assert out.read_bytes() == (
+        b"index,weight,v,g\r\n"
+        b"2,2.0,-3.0,a\r\n"
+        b"0,0.5,1e-05,b\r\n"
+        b"3,0.5,0.1,b\r\n"
+        b'1,1e-05,2.5,"a,c"\r\n'
+    )
+
+
 def test_export_requires_weights(tmp_path):
     ds = ColumnarDataset([Column("v", "continuous", np.array([1.0, 2.0]))])
     with pytest.raises(DataError, match="no weights"):

@@ -136,6 +136,18 @@ def test_wasserstein_mass_concentration_increases_distance():
     assert concentrated > uniform
 
 
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_estimators_reject_negative_or_non_finite_weights(bench_small, bad):
+    scm, ds, enc, model = bench_small
+    weights = np.ones(ds.m)
+    weights[3] = bad
+    with pytest.raises(ValueError, match="position 3"):
+        total_effect(model, ds, weights)
+    x = enc.transform(ds)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        wasserstein_estimate(x, x, weights, steps=1)
+
+
 def parity_dataset():
     s = np.array(["1"] * 8 + ["0"] * 8)
     y = np.array(["1"] * 6 + ["0"] * 2 + ["1"] * 4 + ["0"] * 4)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from fairweigh.autodiff import Tensor, backward
+from fairweigh import model as model_module
+from fairweigh.autodiff import Tensor, backward, concat, no_grad
 from fairweigh.data import Column, ColumnarDataset, Encoder
 from fairweigh.graph import (
     PathSet,
     counterfactual_path_set,
     indirect_path_set,
     parse_graph,
+    pi_active_nodes,
     total_path_set,
 )
 from fairweigh.model import ModelError, StructuredModel, condition_mask
@@ -470,3 +472,73 @@ def test_explicit_mask_matching_no_row_gives_an_empty_pair(bench_small):
     x = enc.transform(ds)[:8]
     y_plus, y_minus, _ = model.interventional_pair(x, mask=np.zeros(8, dtype=bool))
     assert y_plus.shape == y_minus.shape == (0,)
+
+
+def full_descendant_pair(model, x):
+    """Both arms of the pair from cascades that recompute every descendant
+    of the sensitive node, whether or not it can reach the outcome."""
+    graph = model.graph
+    descendants = graph.descendants(graph.sensitive)
+
+    def recompute(values, name, inputs):
+        values[name] = model._block_repr(name, model._node_output(name, concat(inputs)))
+
+    def clamped(s_value):
+        values = {}
+        for name in graph.topo_order:
+            if name == graph.sensitive:
+                values[name] = model._clamped_block(x.shape[0], s_value)
+            elif name in descendants:
+                recompute(values, name, [values[p] for p in graph.parents(name)])
+            else:
+                values[name] = Tensor(x[:, model.encoder.block(name)])
+        return values
+
+    def outcome(values):
+        return values[graph.outcome].data[:, 1]
+
+    with no_grad():
+        if model.mode.mode == "total":
+            return outcome(clamped(1.0)), outcome(clamped(0.0))
+        reference = clamped(0.0)
+        active = pi_active_nodes(graph, model.mode)
+        inter = {}
+        for name in graph.topo_order:
+            if name == graph.sensitive:
+                inter[name] = model._clamped_block(x.shape[0], 1.0)
+            elif name in active:
+                inputs = [
+                    inter[p] if (p, name) in model.mode.on_pi_edges else reference[p]
+                    for p in graph.parents(name)
+                ]
+                recompute(inter, name, inputs)
+            else:
+                inter[name] = reference[name]
+        return outcome(inter), outcome(reference)
+
+
+@pytest.mark.parametrize("mode", ["path_specific", "total"])
+def test_pair_equals_full_descendant_cascades_bitwise(bench_small, mode):
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=13)
+    x = enc.transform(ds)
+    y_plus, y_minus, _ = model.interventional_pair(x)
+    ref_plus, ref_minus = full_descendant_pair(model, x)
+    assert np.array_equal(y_plus, ref_plus)
+    assert np.array_equal(y_minus, ref_minus)
+
+
+def test_clamped_cascade_runs_only_the_outcome_ancestors(bench_small, monkeypatch):
+    """On the benchmark SCM only ``med`` and ``y`` can reach the outcome;
+    aux1-aux5 descend from the sensitive node but are never run."""
+    scm, ds, enc, model = bench_small
+    calls = []
+    original = model_module.mlp_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "mlp_forward", counted)
+    model.intervene_total(enc.transform(ds), 1)
+    assert len(calls) == 2
