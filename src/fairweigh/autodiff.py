@@ -3,8 +3,11 @@
 A :class:`Tensor` wraps an ndarray and remembers the primitive operation that
 produced it, so a computation builds an operation tape as a DAG.
 
-The tape is first-order: :func:`backward` runs with recording off and returns
-plain gradients that cannot be differentiated again.  The one second-order
+The tape is first-order, and a gradient is a plain ``np.ndarray``, not a
+:class:`Tensor`: nothing ever records or differentiates a gradient, so every
+vector-Jacobian product takes and returns arrays and :func:`backward` builds
+no tape node.  Gradients may share memory (``add`` hands the same array to
+both parents), so no code updates a gradient in place.  The one second-order
 quantity the model needs, the critic's gradient penalty, has a closed-form
 parameter gradient (:func:`fairweigh.nn.gradient_penalty`) that enters the
 tape as a single node.  Double backpropagation through the generic tape gave
@@ -84,10 +87,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -129,23 +128,12 @@ class Tensor:
             self.data * other.data,
             (self, other),
             vjp=lambda g, out: (
-                _unbroadcast(g * other, self.shape),
-                _unbroadcast(g * self, other.shape),
+                _unbroadcast(g * other.data, self.shape),
+                _unbroadcast(g * self.data, other.shape),
             ),
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _lift(other)
-        return Tensor(
-            self.data / other.data,
-            (self, other),
-            vjp=lambda g, out: (
-                _unbroadcast(g / other, self.shape),
-                _unbroadcast(-g * self / (other * other), other.shape),
-            ),
-        )
 
     def __neg__(self):
         return Tensor(-self.data, (self,), vjp=lambda g, out: (-g,))
@@ -157,36 +145,26 @@ class Tensor:
         return Tensor(
             self.data**c,
             (self,),
-            vjp=lambda g, out: (g * (self ** (c - 1.0)) * c,),
-        )
-
-    def __matmul__(self, other):
-        other = _lift(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ValueError(
-                f"matmul expects 2-D operands, got {self.shape} @ {other.shape}"
-            )
-        return Tensor(
-            _matmul(self.data, other.data),
-            (self, other),
-            vjp=lambda g, out: (g @ other.T, self.T @ g),
+            vjp=lambda g, out: (g * (self.data ** (c - 1.0)) * c,),
         )
 
     # -- pointwise nonlinearities -------------------------------------------
 
     def log(self):
-        return Tensor(np.log(self.data), (self,), vjp=lambda g, out: (g / self,))
+        return Tensor(np.log(self.data), (self,), vjp=lambda g, out: (g / self.data,))
 
     def tanh(self):
         return Tensor(
-            np.tanh(self.data), (self,), vjp=lambda g, out: (g * (1.0 - out * out),)
+            np.tanh(self.data),
+            (self,),
+            vjp=lambda g, out: (g * (1.0 - out.data * out.data),),
         )
 
     def sigmoid(self):
         return Tensor(
             _stable_sigmoid(self.data),
             (self,),
-            vjp=lambda g, out: (g * out * (1.0 - out),),
+            vjp=lambda g, out: (g * out.data * (1.0 - out.data),),
         )
 
     def softmax(self, axis: int = 1):
@@ -194,49 +172,24 @@ class Tensor:
             _stable_softmax(self.data, axis),
             (self,),
             vjp=lambda g, out: (
-                out * (g - (g * out).sum(axis=axis, keepdims=True)),
+                out.data * (g - (g * out.data).sum(axis=axis, keepdims=True)),
             ),
-        )
-
-    # -- shape manipulation --------------------------------------------------
-
-    @property
-    def T(self):
-        return Tensor(self.data.T, (self,), vjp=lambda g, out: (g.T,))
-
-    def reshape(self, shape):
-        old = self.shape
-        return Tensor(
-            self.data.reshape(shape), (self,), vjp=lambda g, out: (g.reshape(old),)
-        )
-
-    def broadcast_to(self, shape):
-        old = self.shape
-        return Tensor(
-            np.broadcast_to(self.data, shape),
-            (self,),
-            vjp=lambda g, out: (_unbroadcast(g, old),),
         )
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         in_shape = self.shape
-
-        def vjp(g, out):
-            if axis is None:
-                kshape = (1,) * len(in_shape)
-            elif keepdims:
-                kshape = g.shape
-            else:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                axes = tuple(a % len(in_shape) for a in axes)
-                kshape = tuple(
-                    1 if i in axes else s for i, s in enumerate(in_shape)
-                )
-            return (g.reshape(kshape).broadcast_to(in_shape),)
-
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp=vjp)
+        return Tensor(
+            self.data.sum(axis=axis, keepdims=keepdims),
+            (self,),
+            vjp=lambda g, out: (
+                np.broadcast_to(
+                    g if axis is None or keepdims else np.expand_dims(g, axis),
+                    in_shape,
+                ),
+            ),
+        )
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.size if axis is None else np.prod(
@@ -258,7 +211,11 @@ def affine(h: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return Tensor(
         _matmul(h.data, weight.data) + bias.data,
         (h, weight, bias),
-        vjp=lambda g, out: (g @ weight.T, h.T @ g, g.sum(axis=0)),
+        vjp=lambda g, out: (
+            _matmul(g, weight.data.T),
+            _matmul(h.data.T, g),
+            g.sum(axis=0),
+        ),
     )
 
 
@@ -281,7 +238,7 @@ def _stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return ez / ez.sum(axis=axis, keepdims=True)
 
 
-def _unbroadcast(g: Tensor, shape) -> Tensor:
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
     if g.shape == tuple(shape):
         return g
@@ -304,7 +261,7 @@ def concat(tensors) -> Tensor:
         np.concatenate([t.data for t in tensors], axis=1),
         tensors,
         vjp=lambda g, out: tuple(
-            Tensor(g.data[:, lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+            g[:, lo:hi] for lo, hi in zip(offsets, offsets[1:])
         ),
     )
 
@@ -328,24 +285,21 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order  # parents precede children
 
 
-def backward(output: Tensor, wrt) -> list[Tensor]:
-    """Gradients of a scalar ``output`` with respect to each tensor in ``wrt``.
-
-    The returned gradients are leaves: nothing is recorded while they are
-    computed.
-    """
+def backward(output: Tensor, wrt) -> list[np.ndarray]:
+    """Gradients of a scalar ``output`` with respect to each tensor in
+    ``wrt``, as arrays of the tensors' shapes."""
     if output.size != 1:
         raise ValueError(f"backward expects a scalar output, got shape {output.shape}")
-    grads: dict[int, Tensor] = {id(output): Tensor(np.ones_like(output.data))}
-    with no_grad():
-        for node in reversed(_toposort(output)):
-            g = grads.get(id(node))
-            if g is None or node._vjp is None:
-                continue
-            for parent, pg in zip(node.parents, node._vjp(g, node)):
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-
+    grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
+    for node in reversed(_toposort(output)):
+        g = grads.get(id(node))
+        if g is None or node._vjp is None:
+            continue
+        for parent, pg in zip(node.parents, node._vjp(g, node)):
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg
+    # np.asarray: arithmetic on 0-d arrays gives numpy scalars
     return [
-        grads[id(t)] if id(t) in grads else Tensor(np.zeros_like(t.data)) for t in wrt
+        np.asarray(grads[id(t)]) if id(t) in grads else np.zeros_like(t.data)
+        for t in wrt
     ]

@@ -31,6 +31,7 @@ from .data import (
     load_csv,
     split,
     split_indices,
+    write_csv,
 )
 from .effects import (
     MetricSummary,
@@ -272,13 +273,26 @@ def _read_weights(path, m: int) -> np.ndarray:
             raise ConfigError("weights file needs 'index' and 'weight' columns")
         w = np.full(m, np.nan)
         for row in reader:
-            i = int(row["index"])
+            line = f"weights file line {reader.line_num}"
+            try:
+                i = int(row["index"])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{line}: index {row['index']!r} is not an integer"
+                ) from None
             if not 0 <= i < m:
-                raise ConfigError(f"weight index {i} outside dataset of {m} rows")
-            w[i] = float(row["weight"])
+                raise ConfigError(f"{line}: weight index {i} outside dataset of {m} rows")
+            if not np.isnan(w[i]):
+                raise ConfigError(f"{line}: index {i} appears twice")
+            try:
+                w[i] = float(row["weight"])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{line}: weight at index {i} is {row['weight']!r}, not a number"
+                ) from None
             if not (np.isfinite(w[i]) and w[i] >= 0):
                 raise ConfigError(
-                    f"weight at index {i} is {row['weight']!r}; weights must be "
+                    f"{line}: weight at index {i} is {row['weight']!r}; weights must be "
                     "finite and non-negative"
                 )
     if np.isnan(w).any():
@@ -353,15 +367,7 @@ def cmd_gen_synth(args) -> int:
     ds = generate(scm, args.n)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.names)
-        for i in range(ds.m):
-            row = []
-            for col in ds.columns:
-                value = col.values[i]
-                row.append(repr(float(value)) if col.kind == "continuous" else str(value))
-            writer.writerow(row)
+    write_csv(ds, out)
 
     sidecar: dict = {"n": args.n, "seed": args.seed, "oracle_samples": args.oracle_samples}
     te, te_se = oracle_effect(

@@ -24,12 +24,13 @@ __all__ = [
     "load_csv",
     "split_indices",
     "split",
+    "write_csv",
     "export_weights",
 ]
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
-_EXPORT_BLOCK = 1024  # rows per block of export_weights
+_WRITE_BLOCK = 1024  # rows per block of write_csv
 
 
 class DataError(ValueError):
@@ -276,6 +277,32 @@ def split(ds: ColumnarDataset, plan: SplitPlan) -> tuple[ColumnarDataset, Column
     return ds.take(train_idx), ds.take(test_idx)
 
 
+def write_csv(ds: ColumnarDataset, path, order=None, lead=()) -> None:
+    """Write the raw columns of ``ds`` to ``path`` as CSV, header first.
+
+    ``order`` selects and orders the rows (all rows, in order, by default);
+    ``lead`` holds ``(name, values)`` columns written first, their values
+    aligned with ``order``.  Cells are ``repr`` of the value for lead columns
+    and of the float64 value for continuous ones, and ``str`` for categorical
+    ones, so :func:`load_csv` reads the values back exactly.
+    """
+    order = np.arange(ds.m) if order is None else order
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*(name for name, _ in lead), *ds.names])
+        # column by column, in blocks of rows that bound the cells held at once
+        for start in range(0, order.size, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            cells = [[repr(v) for v in values[block].tolist()] for _, values in lead]
+            for col in ds.columns:
+                values = col.values[order[block]]
+                if col.kind == CONTINUOUS:
+                    cells.append([repr(v) for v in values.astype(np.float64).tolist()])
+                else:
+                    cells.append([str(v) for v in values.tolist()])
+            writer.writerows(zip(*cells))
+
+
 def export_weights(ds: ColumnarDataset, path) -> None:
     """Write rows sorted by descending weight (stable by original index).
 
@@ -285,18 +312,5 @@ def export_weights(ds: ColumnarDataset, path) -> None:
     if ds.weights is None:
         raise DataError("dataset carries no weights to export")
     order = np.lexsort((np.arange(ds.m), -ds.weights))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "weight", *ds.names])
-        # column by column, in blocks of rows that bound the cells held at once
-        for start in range(0, ds.m, _EXPORT_BLOCK):
-            rows = order[start : start + _EXPORT_BLOCK]
-            cells = [rows.tolist(), [repr(v) for v in ds.weights[rows].tolist()]]
-            for col in ds.columns:
-                values = col.values[rows]
-                if col.kind == CONTINUOUS:
-                    cells.append([repr(v) for v in values.astype(np.float64).tolist()])
-                else:
-                    cells.append([str(v) for v in values.tolist()])
-            writer.writerows(zip(*cells))
+    write_csv(ds, path, order, lead=(("index", order), ("weight", ds.weights[order])))
 

@@ -165,7 +165,7 @@ def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray)
             g = a @ weights[l - 1].T
 
     params = [p for layer in layers for p in layer]
-    grads = [Tensor(gr) for pair in zip(grad_w, grad_b) for gr in pair]
+    grads = [gr for pair in zip(grad_w, grad_b) for gr in pair]
     return Tensor(value, params, vjp=lambda g, out: tuple(g * gr for gr in grads))
 
 
@@ -176,9 +176,9 @@ def learning_rate(eta0: float, progress: float) -> float:
     return float(eta0) * (1.0 + 10.0 * progress) ** -0.75
 
 
-def _check_finite(grads: Sequence[Tensor]) -> None:
+def _check_finite(grads: Sequence[np.ndarray]) -> None:
     for g in grads:
-        if not np.all(np.isfinite(g.data)):
+        if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient; aborting update step")
 
 
@@ -191,11 +191,11 @@ class MomentumSGD:
         self.momentum = float(momentum)
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads: Sequence[Tensor], lr: float | None = None) -> None:
+    def step(self, grads: Sequence[np.ndarray], lr: float | None = None) -> None:
         _check_finite(grads)
         eta = self.lr if lr is None else float(lr)
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.velocity[i] = self.momentum * self.velocity[i] + g.data
+            self.velocity[i] = self.momentum * self.velocity[i] + g
             p.data = p.data - eta * self.velocity[i]
 
 
@@ -219,14 +219,14 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads: Sequence[Tensor]) -> None:
+    def step(self, grads: Sequence[np.ndarray]) -> None:
         _check_finite(grads)
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g.data
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g.data**2
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g**2
             m_hat = self.m[i] / b1c
             v_hat = self.v[i] / b2c
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -192,7 +192,7 @@ outcome y
             analytic = backward(fn(), params)
             reference = finite_difference(fn, params)
             for g, r in zip(analytic, reference):
-                worst = max(worst, relative_error(g.data, r))
+                worst = max(worst, relative_error(g, r))
     elapsed = time.perf_counter() - started
     report(
         "3",

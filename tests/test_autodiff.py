@@ -39,16 +39,16 @@ def test_linear_layer_gradient_is_summed_input():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, (4, 3))
     w = Tensor(np.zeros((3, 1)))
-    loss = (Tensor(x) @ w).sum()
+    loss = affine(Tensor(x), w, Tensor(np.zeros(1))).sum()
     (grad,) = backward(loss, [w])
-    assert np.allclose(grad.data[:, 0], x.sum(axis=0))
+    assert np.allclose(grad[:, 0], x.sum(axis=0))
 
 
 def test_constant_loss_has_zero_gradients():
     w = Tensor(np.ones((3, 2)))
     loss = Tensor(np.zeros(())) + 5.0
     (grad,) = backward(loss, [w])
-    assert np.all(grad.data == 0.0)
+    assert np.all(grad == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -66,7 +66,7 @@ def test_gradients_match_finite_differences(seed):
     grads = backward(loss_fn(), params)
     reference = finite_difference(loss_fn, params)
     for g, r in zip(grads, reference):
-        assert relative_error(g.data, r) < 1e-4
+        assert relative_error(g, r) < 1e-4
 
 
 def test_softmax_concat_path_matches_finite_differences():
@@ -85,7 +85,7 @@ def test_softmax_concat_path_matches_finite_differences():
     grads = backward(loss_fn(), params)
     reference = finite_difference(loss_fn, params)
     for g, r in zip(grads, reference):
-        assert relative_error(g.data, r) < 1e-4
+        assert relative_error(g, r) < 1e-4
 
 
 SMALL_CRITIC = ((2, 5), (5, 4), (4, 1))
@@ -110,7 +110,7 @@ def test_double_backprop_penalty_matches_finite_differences(seed, sizes):
     grads = backward(penalty_fn(), params)
     reference = finite_difference(penalty_fn, params)
     for g, r in zip(grads, reference):
-        assert relative_error(g.data, r) < 1e-4
+        assert relative_error(g, r) < 1e-4
 
 
 @pytest.mark.parametrize("sizes", [SMALL_CRITIC, MODEL_CRITIC])
@@ -155,21 +155,16 @@ def test_no_grad_produces_leaves():
         "sub": lambda: a - 1.0,
         "rsub": lambda: 1.0 - a,
         "mul": lambda: a * 2.0,
-        "div": lambda: a / 2.0,
         "neg": lambda: -a,
         "pow": lambda: a**2,
-        "matmul": lambda: a @ b,
         "affine": lambda: affine(a, b, Tensor(np.ones(2))),
         "log": lambda: a.log(),
         "tanh": lambda: a.tanh(),
         "sigmoid": lambda: a.sigmoid(),
         "softmax": lambda: a.softmax(axis=1),
-        "T": lambda: a.T,
-        "reshape": lambda: a.reshape((3, 2)),
-        "broadcast_to": lambda: a.broadcast_to((4, 2, 3)),
         "sum": lambda: a.sum(),
         "mean": lambda: a.mean(axis=0),
-        "concat": lambda: concat([a, b.T]),
+        "concat": lambda: concat([a, a]),
         "mlp": lambda: mlp_forward(store.group("net"), Tensor(np.ones((2, 3))), "linear"),
     }
     with no_grad():
@@ -197,6 +192,18 @@ def test_tape_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_backward_returns_arrays_of_the_operand_shapes():
+    w = Tensor(np.full((3, 2), 0.5))
+    c = Tensor(np.array(2.0))
+    unused = Tensor(np.ones(4))
+    loss = (w * c).sum() + c
+    grads = backward(loss, [w, c, unused])
+    assert all(type(g) is np.ndarray for g in grads)
+    assert [g.shape for g in grads] == [(3, 2), (), (4,)]
+    assert np.array_equal(grads[0], np.full((3, 2), 2.0))
+    assert grads[1] == 4.0 and not grads[2].any()
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -208,7 +215,7 @@ def test_shared_subexpression_accumulates_once_per_use():
     a = Tensor(np.array([[1.0, -2.0]]))
     loss = (a * a + a).sum()
     (grad,) = backward(loss, [a])
-    assert np.allclose(grad.data, 2 * a.data + 1)
+    assert np.allclose(grad, 2 * a.data + 1)
 
 
 def test_broadcast_bias_gradient_shape():
@@ -216,8 +223,8 @@ def test_broadcast_bias_gradient_shape():
     b = Tensor(np.zeros(3))
     loss = (x + b).sum()
     (grad,) = backward(loss, [b])
-    assert grad.data.shape == (3,)
-    assert np.allclose(grad.data, 4.0)
+    assert grad.shape == (3,)
+    assert np.allclose(grad, 4.0)
 
 
 def test_determinism_across_runs():
@@ -230,4 +237,4 @@ def test_determinism_across_runs():
     first = run()
     second = run()
     for g1, g2 in zip(first, second):
-        assert np.array_equal(g1.data, g2.data)
+        assert np.array_equal(g1, g2)

@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairweigh import trainer
 from fairweigh.cli import main
+from fairweigh.data import load_csv
 from fairweigh.reweighter import SolverError
-from fairweigh.synth import benchmark_document
+from fairweigh.synth import benchmark_document, generate, parse_scm
 
 SCHEMA = [
     {"name": "x1", "kind": "continuous"},
@@ -109,6 +111,21 @@ def test_gen_synth_is_byte_deterministic(workspace, tmp_path):
     assert "total_effect" in sidecar and "indirect_effect" in sidecar
 
 
+def test_gen_synth_file_reads_back_the_generated_values(workspace, tmp_path):
+    """1,500 rows span two write blocks of 1,024."""
+    out = tmp_path / "g.csv"
+    args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "1500",
+            "--out", str(out), "--seed", "5", "--oracle-samples", "2000"]
+    assert main(args) == 0
+    scm = parse_scm((workspace / "scm.txt").read_text(encoding="utf-8"), seed=5)
+    generated = generate(scm, 1500)
+    loaded = load_csv(out, [(entry["name"], entry["kind"]) for entry in SCHEMA])
+    assert loaded.names == generated.names
+    for want, got in zip(generated.columns, loaded.columns):
+        assert want.kind == got.kind
+        assert np.array_equal(want.values, got.values), want.name
+
+
 def test_reweigh_writes_outputs_and_exit_code(workspace):
     config = config_for(workspace, "run1")
     code = main(["reweigh", "--config", str(config)])
@@ -162,16 +179,28 @@ def test_effects_with_wrong_length_weights(workspace):
     assert main(["effects", "--config", str(config), "--weights", str(weights)]) == 2
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-0.5"])
-def test_effects_rejects_a_bad_weight_naming_its_row(workspace, capsys, cell):
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        *(
+            pytest.param(f"4,{cell}", ("index 4", "finite and non-negative"), id=cell)
+            for cell in ("nan", "inf", "-0.5")
+        ),
+        # row 4 is line 6 of the file
+        pytest.param("4,abc", ("line 6", "'abc'", "not a number"), id="abc"),
+        pytest.param("1.5,1.0", ("line 6", "'1.5'", "not an integer"), id="index-1.5"),
+        pytest.param("3,1.0", ("line 6", "index 3 appears twice"), id="repeated-index"),
+    ],
+)
+def test_effects_rejects_a_bad_weight_naming_its_row(workspace, capsys, row, expected):
     config = config_for(workspace, "run5")
     m = len((workspace / "data.csv").read_text(encoding="utf-8").splitlines()) - 1
-    rows = [f"{i},{cell if i == 4 else '1.0'}" for i in range(m)]
+    rows = [row if i == 4 else f"{i},1.0" for i in range(m)]
     weights = workspace / "bad_weight.csv"
     weights.write_text("index,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assert main(["effects", "--config", str(config), "--weights", str(weights)]) == 2
     err = capsys.readouterr().err
-    assert "index 4" in err and "finite and non-negative" in err
+    assert all(part in err for part in expected), err
 
 
 def test_effects_fit_and_checkpoint_round(workspace):

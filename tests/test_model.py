@@ -261,7 +261,37 @@ def test_gradient_penalty_parameter_gradient_matches_fd(bench_small):
     grads = backward(penalty_fn(), params)
     reference = finite_difference(penalty_fn, params)
     for g, r in zip(grads, reference):
-        assert relative_error(g.data, r) < 1e-4
+        assert relative_error(g, r) < 1e-4
+
+
+def test_backward_builds_no_tensor(bench_small, monkeypatch):
+    """Gradients are plain arrays: differentiating a fit loss and a critic
+    loss constructs no Tensor."""
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=23)
+    x = enc.transform(ds)[:64]
+    weights = np.linspace(0.5, 1.5, 64)
+    y_plus, y_minus, _ = model.interventional_pair(x)
+    gap = model.critic_value(y_plus) - model.critic_value(y_minus)
+    penalty = model.gradient_penalty(y_plus, y_minus, np.random.default_rng(2))
+    critic_loss = -(Tensor(weights.reshape(-1, 1)) * gap).mean() + 10.0 * penalty
+    losses = {
+        "fit": (model.fit_loss(x, weights), model.params.parameters(model.sub_network_nodes)),
+        "critic": (critic_loss, model.params.parameters(["critic"])),
+    }
+    built = []
+    original = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    for name, (loss, params) in losses.items():
+        grads = backward(loss, params)
+        assert all(isinstance(g, np.ndarray) for g in grads), name
+        assert [g.shape for g in grads] == [p.shape for p in params], name
+        assert built == [], name
 
 
 def test_critic_learns_to_separate_clusters():

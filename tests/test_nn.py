@@ -58,14 +58,14 @@ def test_softmax_head_sums_to_one():
 def test_momentum_sgd_closed_form():
     p = Tensor(np.zeros(1))
     opt = MomentumSGD([p], lr=0.1, momentum=0.0)
-    opt.step([Tensor(np.ones(1))])
+    opt.step([np.ones(1)])
     assert np.allclose(p.data, -0.1)
 
     q = Tensor(np.zeros(1))
     opt = MomentumSGD([q], lr=0.1, momentum=0.9)
-    opt.step([Tensor(np.ones(1))])
+    opt.step([np.ones(1)])
     first = -q.data.copy()
-    opt.step([Tensor(np.ones(1))])
+    opt.step([np.ones(1)])
     second = -(q.data.copy()) - first
     assert np.allclose(second, 1.9 * first)
 
@@ -73,7 +73,7 @@ def test_momentum_sgd_closed_form():
 def test_adam_first_step_displacement_is_lr():
     p = Tensor(np.zeros(3))
     opt = Adam([p], lr=1e-3)
-    opt.step([Tensor(np.ones(3))])
+    opt.step([np.ones(3)])
     assert np.allclose(-p.data, 1e-3, rtol=1e-6)
 
 
@@ -81,10 +81,10 @@ def test_nan_gradient_aborts_step():
     p = Tensor(np.zeros(2))
     opt = MomentumSGD([p], lr=0.1)
     with pytest.raises(FloatingPointError):
-        opt.step([Tensor(np.array([1.0, np.nan]))])
+        opt.step([np.array([1.0, np.nan])])
     adam = Adam([p])
     with pytest.raises(FloatingPointError):
-        adam.step([Tensor(np.array([np.inf, 0.0]))])
+        adam.step([np.array([np.inf, 0.0])])
 
 
 def test_learning_rate_schedule():
