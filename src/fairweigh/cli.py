@@ -29,7 +29,6 @@ from .data import (
     SplitPlan,
     export_weights,
     load_csv,
-    split,
     split_indices,
     write_csv,
 )
@@ -253,12 +252,8 @@ def cmd_reweigh(args) -> int:
         )
         write_log(art["log"], rep_dir / "train_log.jsonl")
         art["model"].save(rep_dir / "checkpoint.npz")
-        plan = SplitPlan(
-            train_config.seed, float(config.get("train_fraction", 0.8)), art["repetition"]
-        )
-        train_idx, _ = split_indices(ds.m, plan)
-        mean_weights[train_idx] += art["weights"]
-        counts[train_idx] += 1.0
+        mean_weights[art["train_rows"]] += art["weights"]
+        counts[art["train_rows"]] += 1.0
     averaged = np.where(counts > 0, mean_weights / np.maximum(counts, 1.0), 1.0)
     export_weights(ds.replace_weights(averaged), out_dir / "weights_mean.csv")
     _write_report(out_dir, report)
@@ -318,7 +313,6 @@ def cmd_effects(args) -> int:
         seed=train_config.seed,
         hidden=train_config.hidden,
         critic_hidden=train_config.critic_hidden,
-        observational_cascade=train_config.observational_cascade,
         critic_context_nodes=tuple(config.get("critic_context_nodes", ())),
     )
     if args.checkpoint:
@@ -327,9 +321,9 @@ def cmd_effects(args) -> int:
         # fit without reweighting: a vanishing balance pins weights at one
         model, _, _ = train(model, ds, replace(train_config, balance=1e-9))
 
-    x = encoder.transform(ds)
-    effect = estimate_effect(model, ds, x, weights)
-    gap = discriminator_gap(model, ds, weights, x)
+    pair = model.interventional_pair(encoder.transform(ds), model.pair_mask(ds))
+    effect = estimate_effect(model, ds, weights=weights, pair=pair)
+    gap = discriminator_gap(model, ds, weights, pair=pair)
     parity = statistical_parity(
         ds, graph.sensitive, graph.outcome, weights, declared_levels
     )
@@ -409,12 +403,11 @@ def cmd_evaluate(args) -> int:
         float(config.get("train_fraction", 0.8)),
         args.repetition,
     )
-    train_ds, test_ds = split(ds, plan)
+    train_idx, test_idx = split_indices(ds.m, plan)
+    train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
     weights = None
     if args.weights:
-        full = _read_weights(args.weights, ds.m)
-        train_idx, _ = split_indices(ds.m, plan)
-        weights = full[train_idx]
+        weights = _read_weights(args.weights, ds.m)[train_idx]
     encoder = Encoder().fit(train_ds, declared_levels)
     accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights, encoder)
     print(f"weighted logistic regression accuracy: {accuracy:.4f}")

@@ -4,7 +4,9 @@ Effect estimators are Monte-Carlo contrasts of the interventional forward
 passes under the reweighted empirical distribution: weighted mean of the
 outcome probability with the sensitive node clamped high minus the weighted
 mean with it clamped low.  Rescaling all weights by a positive constant never
-changes any estimate.
+changes any estimate.  :func:`estimate_effect` and :func:`discriminator_gap`
+take the model's :class:`~fairweigh.model.Pair` as it is, with the weights
+renormalized inside its rows; a caller holding the pair passes it to both.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, no_grad
 from .data import ColumnarDataset, DataError, Encoder
-from .model import ModelError, StructuredModel
+from .model import ModelError, Pair, StructuredModel
 from .nn import Adam, ParamStore, gradient_penalty, layer_sizes, mlp_forward
 
 __all__ = [
@@ -50,8 +52,12 @@ def _normalized(weights: np.ndarray, m: int) -> np.ndarray:
     return w / total
 
 
-def _encoded(model: StructuredModel, ds: ColumnarDataset, x: np.ndarray | None):
-    return model.encoder.transform(ds) if x is None else x
+def _pair_weights(weights: np.ndarray | None, m: int, rows: np.ndarray) -> np.ndarray:
+    """Weights of the pair's rows, normalized inside them."""
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError(f"weights shape {w.shape} does not match m={m}")
+    return _normalized(w[rows], rows.size)
 
 
 def total_effect(
@@ -61,7 +67,7 @@ def total_effect(
     x: np.ndarray | None = None,
 ) -> float:
     """Weighted mean outcome-probability contrast across all causal routes."""
-    x = _encoded(model, ds, x)
+    x = model.encoder.transform(ds) if x is None else x
     omega = _normalized(weights, ds.m)
     y_plus = model.intervene_total(x, 1)
     y_minus = model.intervene_total(x, 0)
@@ -101,54 +107,51 @@ def estimate_effect(
     ds: ColumnarDataset,
     x: np.ndarray | None = None,
     weights: np.ndarray | None = None,
-    pair: tuple | None = None,
+    pair: Pair | None = None,
 ) -> float:
-    """The effect matching the model's configured fairness mode; a caller
-    holding ``model.interventional_pair(x, ds)`` passes it as ``pair``."""
+    """The effect matching the model's configured fairness mode.  A caller
+    holding the model's pair over all of ``ds`` passes it as ``pair``."""
     if pair is None:
-        pair = model.interventional_pair(_encoded(model, ds, x), ds)
-    y_plus, y_minus, mask = pair
-    if mask is None:
-        omega = _normalized(weights, ds.m)
-    else:
-        w = np.ones(ds.m) if weights is None else np.asarray(weights, dtype=np.float64)
-        omega = _normalized(w[mask], int(mask.sum()))
-    return float(omega @ y_plus - omega @ y_minus)
+        x = model.encoder.transform(ds) if x is None else x
+        pair = model.interventional_pair(x, model.pair_mask(ds))
+    omega = _pair_weights(weights, ds.m, pair.rows)
+    return float(omega @ pair.y_plus - omega @ pair.y_minus)
 
 
 def discriminator_gap(
     model: StructuredModel,
     ds: ColumnarDataset,
     weights: np.ndarray | None = None,
-    x: np.ndarray | None = None,
+    pair: Pair | None = None,
 ) -> float:
     """Diagnostic: weighted mean gap of critic outputs rescaled to [0, 1].
 
     Outputs for both interventional batches are min-max normalized against
     their pooled range; a degenerate (constant) critic yields 0 with a
-    warning.  Reported alongside the direct estimators, never instead.
+    warning.  Reported alongside the direct estimators, never instead.  A
+    caller holding the model's pair over all of ``ds`` passes it as ``pair``.
     """
-    x = _encoded(model, ds, x)
-    y_plus, y_minus, mask = model.interventional_pair(x, ds)
-    context = None
-    if model.critic_context_nodes:
-        context = model.critic_context(x if mask is None else x[mask])
-    d_plus = model.critic_values(y_plus, context)
-    d_minus = model.critic_values(y_minus, context)
+    if pair is None:
+        pair = model.interventional_pair(model.encoder.transform(ds), model.pair_mask(ds))
+    d_plus = model.critic_values(pair.y_plus, pair.context)
+    d_minus = model.critic_values(pair.y_minus, pair.context)
     pooled = np.concatenate([d_plus, d_minus])
     spread = float(pooled.max() - pooled.min())
     if spread < 1e-12:
         warnings.warn("critic output is constant; gap diagnostic degenerate")
         return 0.0
     low = pooled.min()
-    w = np.ones(ds.m) if weights is None else np.asarray(weights, dtype=np.float64)
-    if mask is not None:
-        w = w[mask]
-    omega = _normalized(w, w.size)
+    omega = _pair_weights(weights, ds.m, pair.rows)
     return float(omega @ ((d_plus - low) / spread) - omega @ ((d_minus - low) / spread))
 
 
 # -- distribution distance ------------------------------------------------------
+
+# The distance critic's layer widths, learning rate, penalty coefficient, batch.
+DISTANCE_HIDDEN = (32, 32, 32)
+DISTANCE_LR = 1e-3
+DISTANCE_PENALTY = 10.0
+DISTANCE_BATCH = 256
 
 
 def wasserstein_estimate(
@@ -157,16 +160,13 @@ def wasserstein_estimate(
     weights: np.ndarray | None = None,
     seed: int = 0,
     steps: int = 2000,
-    batch_size: int = 256,
-    lr: float = 1e-3,
-    penalty_coef: float = 10.0,
-    hidden: tuple[int, ...] = (32, 32, 32),
 ) -> float:
     """Critic-based distance between an empirical and a reweighted matrix.
 
-    Trains a fresh gradient-penalty critic on full encoded rows to maximize
-    E_original[C] - E_weighted[C] for a fixed step budget, then returns the
-    exact full-data objective of the trained critic.
+    Trains a fresh gradient-penalty critic (the ``DISTANCE_*`` constants) on
+    full encoded rows to maximize E_original[C] - E_weighted[C] for a fixed
+    step budget, then returns the exact full-data objective of the trained
+    critic.
     """
     x_a = np.asarray(x_original, dtype=np.float64)
     x_b = np.asarray(x_reweighted, dtype=np.float64)
@@ -175,16 +175,16 @@ def wasserstein_estimate(
     omega = _normalized(weights, x_b.shape[0])
 
     store = ParamStore(seed)
-    store.add_group("critic", layer_sizes(x_a.shape[1], hidden, 1), zero_final=True)
+    store.add_group("critic", layer_sizes(x_a.shape[1], DISTANCE_HIDDEN, 1), zero_final=True)
     params = store.parameters(["critic"])
-    opt = Adam(params, lr)
+    opt = Adam(params, DISTANCE_LR)
     rng = np.random.default_rng([seed, 3])
 
     # the draws of rng.choice(x_b.shape[0], size=batch, p=omega), with the
     # CDF built once instead of on every step
     cdf = omega.cumsum()
     cdf /= cdf[-1]
-    batch = min(batch_size, x_a.shape[0], x_b.shape[0])
+    batch = min(DISTANCE_BATCH, x_a.shape[0], x_b.shape[0])
     for _ in range(steps):
         rows_a = x_a[rng.integers(0, x_a.shape[0], size=batch)]
         rows_b = x_b[cdf.searchsorted(rng.random(batch), side="right")]
@@ -192,7 +192,7 @@ def wasserstein_estimate(
         value_b = mlp_forward(store.group("critic"), Tensor(rows_b), "linear")
         u = rng.uniform(0.0, 1.0, size=(batch, 1))
         penalty = gradient_penalty(store.group("critic"), u * rows_a + (1.0 - u) * rows_b)
-        loss = value_b.mean() - value_a.mean() + penalty_coef * penalty
+        loss = value_b.mean() - value_a.mean() + DISTANCE_PENALTY * penalty
         if not np.isfinite(loss.data):
             raise FloatingPointError("distance critic diverged (non-finite loss)")
         opt.step(backward(loss, params))
@@ -209,7 +209,6 @@ def wasserstein_distance(
     encoder: Encoder | None = None,
     seed: int = 0,
     steps: int = 2000,
-    **kwargs,
 ) -> float:
     """Dataset-level wrapper: encode both sides with one shared transform."""
     if original.names != reweighted.names:
@@ -221,7 +220,6 @@ def wasserstein_distance(
         weights=reweighted.weights,
         seed=seed,
         steps=steps,
-        **kwargs,
     )
 
 
@@ -258,19 +256,22 @@ def statistical_parity(
     return rate_high - rate_low
 
 
+REGRESSION_EPOCHS = 500
+REGRESSION_LR = 0.1
+
+
 def downstream_accuracy(
     train_ds: ColumnarDataset,
     test_ds: ColumnarDataset,
     outcome: str,
     weights: np.ndarray | None = None,
     encoder: Encoder | None = None,
-    epochs: int = 500,
-    lr: float = 0.1,
 ) -> float:
     """Test accuracy of a weighted logistic regression predicting the outcome.
 
-    Plain full-batch gradient descent in float64, no regularization.  A loose
-    final gradient norm only warns; the accuracy is returned regardless.
+    Plain full-batch gradient descent in float64 (``REGRESSION_EPOCHS`` steps
+    at rate ``REGRESSION_LR``), no regularization.  A loose final gradient
+    norm only warns; the accuracy is returned regardless.
     """
     enc = Encoder().fit(train_ds) if encoder is None else encoder
     x_train = enc.transform(train_ds)
@@ -286,14 +287,14 @@ def downstream_accuracy(
     theta = np.zeros(a_train.shape[1])
     intercept = 0.0
     grad_norm = np.inf
-    for _ in range(epochs):
+    for _ in range(REGRESSION_EPOCHS):
         z = a_train @ theta + intercept
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
         residual = omega * (p - y_train)
         grad_theta = a_train.T @ residual
         grad_intercept = float(residual.sum())
-        theta -= lr * grad_theta
-        intercept -= lr * grad_intercept
+        theta -= REGRESSION_LR * grad_theta
+        intercept -= REGRESSION_LR * grad_intercept
         grad_norm = float(np.sqrt(np.sum(grad_theta**2) + grad_intercept**2))
     if grad_norm > 5e-2:
         warnings.warn(

@@ -334,7 +334,8 @@ def indirect_path_set(g: CausalGraph) -> PathSet:
 
 
 def counterfactual_path_set(g: CausalGraph, condition) -> PathSet:
-    """Full intervention evaluated on the sub-population matching ``condition``."""
+    """Full intervention evaluated on the sub-population matching ``condition``,
+    (node, value) pairs on categorical nodes other than the sensitive one."""
     pairs = tuple((str(n), v) for n, v in condition)
     if not pairs:
         raise GraphError("counterfactual mode requires a non-empty condition")
@@ -343,6 +344,8 @@ def counterfactual_path_set(g: CausalGraph, condition) -> PathSet:
             raise GraphError(f"condition names unknown node {name!r}")
         if name == g.sensitive:
             raise GraphError("condition must not include the sensitive node")
+        if g.node(name).kind != "categorical":
+            raise GraphError(f"condition node {name!r} is not categorical")
     return PathSet("counterfactual", _all_path_edges(g), pairs)
 
 

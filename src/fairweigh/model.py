@@ -9,10 +9,13 @@ parameter group, so they can never drift apart.
 Intermediate categorical values propagate as probability vectors (soft,
 deterministic, differentiable); binary nodes expand a scalar success
 probability p into the two-column representation (1-p, p) that matches their
-one-hot encoding.
+one-hot encoding.  The model owns the interventional :class:`Pair`: which
+rows a mode's contrast covers, and their critic context.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .nn import (
     save_params,
 )
 
-__all__ = ["ModelError", "StructuredModel", "condition_mask"]
+__all__ = ["ModelError", "Pair", "StructuredModel", "condition_mask"]
 
 EPS = 1e-12
 
@@ -38,16 +41,23 @@ class ModelError(ValueError):
 
 
 def condition_mask(ds: ColumnarDataset, condition) -> np.ndarray:
-    """Rows matching every (node, value) pair: exact for categoricals,
-    within 1e-9 on the raw value for continuous columns."""
+    """Rows whose categorical label equals the value of every (node, value)
+    pair; the graph admits conditions on categorical nodes only."""
     mask = np.ones(ds.m, dtype=bool)
     for name, value in condition:
-        col = ds.column(name)
-        if col.kind == CONTINUOUS:
-            mask &= np.abs(col.values - float(value)) <= 1e-9
-        else:
-            mask &= col.values == str(value)
+        mask &= ds.column(name).values == str(value)
     return mask
+
+
+class Pair(NamedTuple):
+    """The interventional contrast the critic discriminates: outcome
+    probabilities under the high and low arm for the covered ``rows`` of the
+    encoded batch, with the critic context of those rows (or None)."""
+
+    y_plus: np.ndarray
+    y_minus: np.ndarray
+    rows: np.ndarray
+    context: np.ndarray | None
 
 
 class StructuredModel:
@@ -61,13 +71,11 @@ class StructuredModel:
         seed: int,
         hidden: tuple[int, ...] = (32, 32),
         critic_hidden: tuple[int, ...] = (32, 32, 32),
-        observational_cascade: bool = False,
         critic_context_nodes: tuple[str, ...] = (),
     ):
         self.graph = graph
         self.encoder = encoder
         self.mode = mode
-        self.observational_cascade = bool(observational_cascade)
         self.critic_context_nodes = tuple(critic_context_nodes)
 
         for role, name in (("sensitive", graph.sensitive), ("outcome", graph.outcome)):
@@ -156,18 +164,10 @@ class StructuredModel:
     # -- observational view ----------------------------------------------------
 
     def _observational_values(self, x: np.ndarray) -> dict[str, Tensor]:
-        """Per-node predictions; teacher-forced by default, cascaded on request."""
+        """Per-node predictions, teacher-forced on the observed parents."""
         predictions: dict[str, Tensor] = {}
         for name in self.sub_network_nodes:
-            if self.observational_cascade:
-                inputs = concat(
-                    [
-                        predictions[p] if p in predictions else self._observed_block(x, p)
-                        for p in self.graph.parents(name)
-                    ]
-                )
-            else:
-                inputs = Tensor(x[:, self._parent_columns[name]])
+            inputs = Tensor(x[:, self._parent_columns[name]])
             predictions[name] = self._block_repr(name, self._node_output(name, inputs))
         return predictions
 
@@ -277,35 +277,25 @@ class StructuredModel:
             raise ModelError(f"no rows match condition {self.mode.condition}")
         return mask
 
-    def intervene_conditioned(
-        self, ds: ColumnarDataset, x: np.ndarray, s: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Total-mode cascade restricted to rows matching the stored condition.
+    def interventional_pair(self, x: np.ndarray, mask: np.ndarray | None = None) -> Pair:
+        """The contrast of the configured fairness mode over the rows of the
+        encoded batch ``x`` that ``mask`` selects (all when None).
 
-        Returns (probabilities over matching rows, boolean row mask); the
-        effective sample count is the number of matching rows.
+        Counterfactual mode needs the mask, the condition matched on the raw
+        rows of ``x`` (see :meth:`pair_mask`); it may select no row.
         """
-        if self.mode.mode != "counterfactual":
-            raise ModelError(f"model mode is {self.mode.mode!r}, not counterfactual")
-        mask = self.pair_mask(ds)
-        return self.intervene_total(x[mask], s), mask
-
-    def interventional_pair(
-        self, x: np.ndarray, ds: ColumnarDataset | None = None, mask: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The (yhat_plus, yhat_minus) contrast the critic discriminates,
-        per the configured fairness mode; also the row mask if conditioning,
-        which takes the raw dataset of ``x`` or its (possibly empty) ``mask``."""
-        if self.mode.mode == "total":
-            return self.intervene_total(x, 1), self.intervene_total(x, 0), None
+        if mask is not None:
+            rows = np.flatnonzero(mask)
+            x = x[rows]
+        elif self.mode.mode == "counterfactual":
+            raise ModelError("counterfactual mode needs the row mask of its condition")
+        else:
+            rows = np.arange(x.shape[0])
         if self.mode.mode == "path_specific":
-            return (*self._path_specific_pair(x, 1), None)
-        if mask is None:
-            if ds is None:
-                raise ModelError("counterfactual mode needs the raw dataset for matching")
-            mask = self.pair_mask(ds)
-        rows = x[mask]
-        return self.intervene_total(rows, 1), self.intervene_total(rows, 0), mask
+            y_plus, y_minus = self._path_specific_pair(x, 1)
+        else:
+            y_plus, y_minus = self.intervene_total(x, 1), self.intervene_total(x, 0)
+        return Pair(y_plus, y_minus, rows, self.critic_context(x))
 
     def _check_s(self, s: int) -> None:
         if s not in (0, 1):

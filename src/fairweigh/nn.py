@@ -200,21 +200,15 @@ class MomentumSGD:
 
 
 class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction; ``beta1``, ``beta2`` and ``eps`` are fixed."""
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-4):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

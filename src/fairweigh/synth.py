@@ -119,7 +119,10 @@ _BERN_IDENTITY = re.compile(r"^bernoulli\((?P<p>.+)\)$")
 def _parse_function(body: str) -> StructuralFunction:
     body = body.replace(" ", "")
     if match := _NORMAL.match(body):
-        std = float(match.group("std"))
+        try:
+            std = float(match.group("std"))
+        except ValueError:
+            raise GraphError(f"bad noise std in {body!r}") from None
         if not np.isfinite(std) or std < 0:
             raise GraphError(f"bad noise std in {body!r}")
         return StructuralFunction("normal", parse_affine(match.group("mean")), std=std)
@@ -243,16 +246,11 @@ def generate(scm: SyntheticSCM, n: int) -> ColumnarDataset:
     return ColumnarDataset(columns)
 
 
-def _condition_mask(
-    scm: SyntheticSCM, values: dict[str, np.ndarray], condition
-) -> np.ndarray:
+def _condition_mask(values: dict[str, np.ndarray], condition) -> np.ndarray:
+    """Draws whose binary node values equal every (node, value) pair."""
     mask = np.ones(next(iter(values.values())).size, dtype=bool)
     for name, raw in condition:
-        spec = scm.graph.node(name)
-        if spec.kind == CONTINUOUS:
-            mask &= np.abs(values[name] - float(raw)) <= 1e-9
-        else:
-            mask &= values[name] == float(raw)
+        mask &= values[name] == float(raw)
     return mask
 
 
@@ -306,7 +304,7 @@ def oracle_effect(
     diff = p_plus - p_minus
     if path_set.mode == "counterfactual":
         observed, _ = _cascade(scm, noise, n, do_sensitive=None)
-        mask = _condition_mask(scm, observed, path_set.condition)
+        mask = _condition_mask(observed, path_set.condition)
         if not mask.any():
             raise GraphError(f"no draws match condition {path_set.condition}")
         diff = diff[mask]

@@ -17,12 +17,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .data import ColumnarDataset, Encoder, SplitPlan, split
+from .data import ColumnarDataset, Encoder, SplitPlan, split_indices
 from .effects import (
     EffectReport,
     MetricSummary,
@@ -33,7 +32,7 @@ from .effects import (
     wasserstein_distance,
 )
 from .graph import CausalGraph, PathSet
-from .model import StructuredModel
+from .model import Pair, StructuredModel
 from .nn import Adam, MomentumSGD, learning_rate
 from .reweighter import SolverError, WeightVector, solve_weights
 
@@ -70,7 +69,6 @@ class TrainConfig:
     seed: int = 0
     hidden: tuple[int, ...] = (32, 32)
     critic_hidden: tuple[int, ...] = (32, 32, 32)
-    observational_cascade: bool = False
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "fit_steps_per_critic_step"):
@@ -108,15 +106,6 @@ def _batches(m: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-class _Pair(NamedTuple):
-    """Interventional outcomes of some split rows, with their critic context."""
-
-    y_plus: np.ndarray
-    y_minus: np.ndarray
-    rows: np.ndarray  # split row of each entry
-    context: np.ndarray | None
-
-
 class _Loop:
     """Mutable training state shared by the per-epoch phases."""
 
@@ -131,9 +120,9 @@ class _Loop:
         self.x = model.encoder.transform(ds)
         # Split rows the pair covers, and each split row's position in it (or -1).
         self.mask = model.pair_mask(ds)
-        self.pair_rows = np.arange(ds.m) if self.mask is None else np.flatnonzero(self.mask)
+        pair_rows = np.arange(ds.m) if self.mask is None else np.flatnonzero(self.mask)
         self.pair_position = np.full(ds.m, -1)
-        self.pair_position[self.pair_rows] = np.arange(self.pair_rows.size)
+        self.pair_position[pair_rows] = np.arange(pair_rows.size)
         self.weights = np.ones(ds.m)
         self.fit_params = model.params.parameters(model.sub_network_nodes)
         self.critic_params = model.params.parameters(["critic"])
@@ -160,30 +149,23 @@ class _Loop:
         self.completed_fit_steps += 1
         return float(loss.data)
 
-    def batch_pair(self, idx: np.ndarray) -> _Pair:
-        """The interventional pair of a batch under the current fit parameters."""
+    def batch_pair(self, idx: np.ndarray) -> Pair:
+        """A batch's pair under the current fit parameters, rows as split rows."""
         mask = None if self.mask is None else self.mask[idx]
-        y_plus, y_minus, mask = self.model.interventional_pair(self.x[idx], mask=mask)
-        return self._with_context(y_plus, y_minus, idx if mask is None else idx[mask])
+        pair = self.model.interventional_pair(self.x[idx], mask=mask)
+        return pair._replace(rows=idx[pair.rows])
 
-    def full_split_pair(self) -> _Pair:
-        y_plus, y_minus, _ = self.model.interventional_pair(self.x, mask=self.mask)
-        return self._with_context(y_plus, y_minus, self.pair_rows)
+    def full_split_pair(self) -> Pair:
+        return self.model.interventional_pair(self.x, mask=self.mask)
 
-    def _with_context(self, y_plus, y_minus, rows: np.ndarray) -> _Pair:
-        context = None
-        if self.model.critic_context_nodes:
-            context = self.model.critic_context(self.x[rows])
-        return _Pair(y_plus, y_minus, rows, context)
-
-    def refine_pair(self, full: _Pair, idx: np.ndarray) -> _Pair:
+    def refine_pair(self, full: Pair, idx: np.ndarray) -> Pair:
         """The batch's rows of the epoch's full-split pair: while the fit
         parameters stay frozen, slicing equals recomputing."""
         positions = self.pair_position[idx]
         positions = positions[positions >= 0]
-        return _Pair(*(None if part is None else part[positions] for part in full))
+        return Pair(*(None if part is None else part[positions] for part in full))
 
-    def critic_step(self, pair: _Pair) -> None:
+    def critic_step(self, pair: Pair) -> None:
         y_plus, y_minus, rows, context = pair
         if y_plus.size == 0:
             return
@@ -198,7 +180,7 @@ class _Loop:
         self.last_critic_objective = float(objective.data)
         self.last_penalty = float(penalty.data)
 
-    def orient_critic(self, pair: _Pair) -> None:
+    def orient_critic(self, pair: Pair) -> None:
         """Exploit the critic's sign symmetry: the penalty is invariant under
         negation, so when the weighted objective is negative the negated
         critic is a strictly better feasible maximizer.  Gradient steps cannot
@@ -208,7 +190,7 @@ class _Loop:
             weight.data = -weight.data
             bias.data = -bias.data
 
-    def solve_epoch_weights(self, pair: _Pair) -> WeightVector:
+    def solve_epoch_weights(self, pair: Pair) -> WeightVector:
         """Critic gap over the full split, then the constrained weight solve."""
         solved = solve_weights(self._critic_gap(pair), self.config.balance)
         # Conditioned mode: rows outside the condition keep weight one.
@@ -216,7 +198,7 @@ class _Loop:
         self.weights[pair.rows] = solved.values
         return WeightVector(self.weights.copy(), self.config.balance)
 
-    def _critic_gap(self, pair: _Pair) -> np.ndarray:
+    def _critic_gap(self, pair: Pair) -> np.ndarray:
         critic = self.model.critic_values
         return critic(pair.y_plus, pair.context) - critic(pair.y_minus, pair.context)
 
@@ -255,9 +237,7 @@ def train(
                 epoch=epoch,
             ) from exc
         snapshot = model.params.snapshot()
-        effect = estimate_effect(
-            model, ds, weights=loop.weights, pair=(pair.y_plus, pair.y_minus, loop.mask)
-        )
+        effect = estimate_effect(model, ds, weights=loop.weights, pair=pair)
         log.append(
             EpochRecord(
                 epoch=epoch,
@@ -301,7 +281,8 @@ def repeat_protocol(
     diagnostic on the reweighted training split, statistical parity under the
     weights, downstream accuracy on the held-out split, and the critic-based
     distance between the original and reweighted training data.  Metrics are
-    aggregated as mean and (population) standard deviation.
+    aggregated as mean and (population) standard deviation.  Each artifact
+    also holds ``train_rows``, the rows of ``ds`` in its training split.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -309,7 +290,8 @@ def repeat_protocol(
     artifacts: list[dict] = []
     for rep in range(repeats):
         plan = SplitPlan(config.seed, train_fraction, rep)
-        train_ds, test_ds = split(ds, plan)
+        train_rows, test_rows = split_indices(ds.m, plan)
+        train_ds, test_ds = ds.take(train_rows), ds.take(test_rows)
         encoder = Encoder().fit(train_ds, declared_levels)
         rep_config = replace(config, seed=config.seed + rep)
         model = StructuredModel(
@@ -319,15 +301,13 @@ def repeat_protocol(
             seed=rep_config.seed,
             hidden=rep_config.hidden,
             critic_hidden=rep_config.critic_hidden,
-            observational_cascade=rep_config.observational_cascade,
             critic_context_nodes=critic_context_nodes,
         )
         model, weight_vector, log = train(model, train_ds, rep_config)
         w = weight_vector.values
-        x_train = encoder.transform(train_ds)
         # the last epoch's effect is already that of the final weights
         effects.append(log[-1].effect)
-        gaps.append(discriminator_gap(model, train_ds, w, x_train))
+        gaps.append(discriminator_gap(model, train_ds, w))
         parities.append(
             statistical_parity(
                 train_ds, graph.sensitive, graph.outcome, w, declared_levels
@@ -355,6 +335,7 @@ def repeat_protocol(
                 "weights": w,
                 "log": log,
                 "train": train_ds,
+                "train_rows": train_rows,
                 "test": test_ds,
             }
         )

@@ -287,7 +287,7 @@ def test_criterion_6_degenerate_graph_keeps_unit_weights():
     cf_model = StructuredModel(
         graph,
         enc,
-        counterfactual_path_set(graph, [("a", float(ds.column("a").values[0]))]),
+        counterfactual_path_set(graph, [("y", ds.column("y").values[0])]),
         seed=3,
     )
     ce = counterfactual_effect(cf_model, ds, weights.values, x)

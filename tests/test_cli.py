@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fairweigh import trainer
-from fairweigh.cli import main
-from fairweigh.data import load_csv
+from fairweigh.cli import _read_weights, main
+from fairweigh.data import SplitPlan, load_csv, split_indices
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_document, generate, parse_scm
 
@@ -170,6 +170,8 @@ def test_unknown_config_field_rejected(workspace):
     payload["tyop"] = True
     path.write_text(json.dumps(payload))
     assert main(["reweigh", "--config", str(path)]) == 2
+    config = config_for(workspace, "run4", train={**FAST_TRAIN, "cascade": True})
+    assert main(["reweigh", "--config", str(config)]) == 2
 
 
 def test_effects_with_wrong_length_weights(workspace):
@@ -249,6 +251,42 @@ def test_counterfactual_mode_requires_condition(workspace):
         workspace, "run10", mode="counterfactual", condition=[["x2", "1"]]
     )
     assert main(["reweigh", "--config", str(config2)]) in (0, 1)
+
+
+def test_condition_on_a_continuous_node_exits_2(workspace, tmp_path, capsys):
+    config = config_for(
+        workspace, "run12", mode="counterfactual", condition=[["x1", "0.5"]]
+    )
+    assert main(["reweigh", "--config", str(config)]) == 2
+    assert "'x1' is not categorical" in capsys.readouterr().err
+    args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "50",
+            "--out", str(tmp_path / "g.csv"), "--oracle-samples", "500"]
+    assert main(args + ["--condition", "x1=0"]) == 2
+    assert "'x1' is not categorical" in capsys.readouterr().err
+
+
+def test_gen_synth_rejects_a_non_numeric_noise_std(workspace, tmp_path, capsys):
+    doc = benchmark_document().replace("x1 = normal(0, 1)", "x1 = normal(0, abc)")
+    (tmp_path / "scm.txt").write_text(doc, encoding="utf-8")
+    args = ["gen-synth", "--scm", str(tmp_path / "scm.txt"), "--n", "50",
+            "--out", str(tmp_path / "g.csv"), "--oracle-samples", "500"]
+    assert main(args) == 2
+    assert "bad noise std" in capsys.readouterr().err
+
+
+def test_weights_mean_averages_each_repetition_over_its_training_rows(workspace):
+    config = config_for(workspace, "run14", repeats=2, train={**FAST_TRAIN, "epochs": 1})
+    assert main(["reweigh", "--config", str(config)]) in (0, 1)
+    out = workspace / "run14"
+    m = 600
+    total, counts = np.zeros(m), np.zeros(m)
+    for rep in range(2):
+        rows, _ = split_indices(m, SplitPlan(FAST_TRAIN["seed"], 0.8, rep))
+        total[rows] += _read_weights(out / f"rep_{rep}" / "weights.csv", rows.size)
+        counts[rows] += 1.0
+    assert counts.min() == 0.0 and counts.max() == 2.0
+    expected = np.where(counts > 0, total / np.maximum(counts, 1.0), 1.0)
+    assert np.array_equal(_read_weights(out / "weights_mean.csv", m), expected)
 
 
 def test_path_specific_mode_runs(workspace):

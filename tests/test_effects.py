@@ -13,7 +13,7 @@ from fairweigh.effects import (
     wasserstein_estimate,
 )
 from fairweigh.graph import PathSet, counterfactual_path_set, total_path_set
-from fairweigh.model import StructuredModel
+from fairweigh.model import Pair, StructuredModel
 
 
 def test_total_effect_weight_rescaling_invariance(bench_small):
@@ -63,9 +63,8 @@ def test_estimate_effect_dispatches_by_mode(bench_small):
 
 def test_discriminator_gap_degenerate_critic_warns(bench_small):
     scm, ds, enc, model = bench_small
-    x = enc.transform(ds)
     with pytest.warns(UserWarning, match="constant"):
-        assert discriminator_gap(model, ds, None, x) == 0.0
+        assert discriminator_gap(model, ds) == 0.0
 
 
 def test_discriminator_gap_identical_distributions_is_zero(bench_small):
@@ -88,17 +87,40 @@ def test_discriminator_gap_identical_distributions_is_zero(bench_small):
     x = enc.transform(ds)
     y_plus = model.intervene_total(x, 1)
     assert np.ptp(y_plus) > 0  # non-degenerate outcome distribution
-    assert discriminator_gap(model, ds, None, x) == 0.0
+    assert discriminator_gap(model, ds) == 0.0
+
+
+@pytest.mark.parametrize("condition", [(), (("x2", "1"),)], ids=["total", "counterfactual"])
+def test_effect_and_gap_read_a_given_pair_as_computed(bench_small, condition):
+    scm, ds, enc, _ = bench_small
+    if condition:
+        mode = counterfactual_path_set(scm.graph, condition)
+    else:
+        mode = total_path_set(scm.graph)
+    model = StructuredModel(scm.graph, enc, mode, seed=21, critic_context_nodes=("x1",))
+    rng = np.random.default_rng(3)
+    for w, _ in model.params.group("critic"):
+        w.data = rng.normal(0, 0.5, w.data.shape)
+    weights = rng.uniform(0.5, 2.0, ds.m)
+    pair = model.interventional_pair(enc.transform(ds), model.pair_mask(ds))
+    effect = estimate_effect(model, ds, weights=weights, pair=pair)
+    assert effect == estimate_effect(model, ds, weights=weights)
+    omega = weights[pair.rows] / weights[pair.rows].sum()
+    assert effect == pytest.approx(omega @ pair.y_plus - omega @ pair.y_minus, abs=1e-12)
+    gap = discriminator_gap(model, ds, weights, pair=pair)
+    assert gap == discriminator_gap(model, ds, weights) != 0.0
+    with pytest.raises(ValueError, match="does not match"):
+        estimate_effect(model, ds, weights=weights[:-1], pair=pair)
 
 
 class _SeparatedCloudsModel(StructuredModel):
     """Forces a wide interventional contrast to exercise the normalization."""
 
-    def interventional_pair(self, x, ds=None):
+    def interventional_pair(self, x, mask=None):
         rng = np.random.default_rng(7)
         high = rng.normal(0.95, 0.005, x.shape[0])
         low = rng.normal(0.05, 0.005, x.shape[0])
-        return high, low, None
+        return Pair(high, low, np.arange(x.shape[0]), None)
 
 
 def test_discriminator_gap_separated_clouds_close_to_one(bench_small):
@@ -109,7 +131,7 @@ def test_discriminator_gap_separated_clouds_close_to_one(bench_small):
     # identity critic: monotone, so the pooled min-max normalization maps the
     # two clouds near the ends of [0, 1]
     model.params.groups["critic"] = [(Tensor(np.array([[1.0]])), Tensor(np.zeros(1)))]
-    gap = discriminator_gap(model, ds, None, enc.transform(ds))
+    gap = discriminator_gap(model, ds)
     assert gap > 0.95
 
 

@@ -248,8 +248,10 @@ def test_removing_pi_edges_disconnects_only_pi_paths(diamond_graph):
 
 
 def test_counterfactual_path_set_validation(diamond_graph):
-    ps = counterfactual_path_set(diamond_graph, [("a", "1.0")])
+    ps = counterfactual_path_set(diamond_graph, [("y", "1")])
     assert ps.mode == "counterfactual"
+    with pytest.raises(GraphError, match="'a' is not categorical"):
+        counterfactual_path_set(diamond_graph, [("a", "1.0")])
     with pytest.raises(GraphError, match="non-empty"):
         counterfactual_path_set(diamond_graph, [])
     with pytest.raises(GraphError, match="sensitive"):

@@ -112,15 +112,12 @@ def test_null_effect_graph_gives_exactly_zero(no_path_graph):
     x = enc.transform(ds)
     model = StructuredModel(no_path_graph, enc, total_path_set(no_path_graph), seed=3)
     assert np.array_equal(model.intervene_total(x, 1), model.intervene_total(x, 0))
+    label = ds.column("y").values[0]
     cf = StructuredModel(
-        no_path_graph,
-        enc,
-        counterfactual_path_set(no_path_graph, [("a", float(ds.column("a").values[0]))]),
-        seed=3,
+        no_path_graph, enc, counterfactual_path_set(no_path_graph, [("y", label)]), seed=3
     )
-    plus, mask = cf.intervene_conditioned(ds, x, 1)
-    minus, _ = cf.intervene_conditioned(ds, x, 0)
-    assert mask.sum() == 1
+    plus, minus, rows, _ = cf.interventional_pair(x, cf.pair_mask(ds))
+    assert np.array_equal(rows, np.flatnonzero(ds.column("y").values == label))
     assert np.array_equal(plus, minus)
 
 
@@ -193,26 +190,41 @@ def test_conditioned_mode_matches_total_on_full_match(bench_small):
     cf = StructuredModel(
         scm.graph, enc, counterfactual_path_set(scm.graph, [("x2", "1")]), seed=7
     )
-    plus, mask = cf.intervene_conditioned(ds, x, 1)
-    assert mask.sum() == (ds.column("x2").values == "1").sum()
+    mask = cf.pair_mask(ds)
+    plus, _, rows, _ = cf.interventional_pair(x, mask)
+    assert rows.size == mask.sum() == (ds.column("x2").values == "1").sum()
     assert np.array_equal(plus, cf.intervene_total(x[mask], 1))
 
 
 def test_conditioned_mode_errors_on_empty_match(bench_small):
     scm, ds, enc, _ = bench_small
     cf = StructuredModel(
-        scm.graph, enc, counterfactual_path_set(scm.graph, [("med", 1e18)]), seed=7
+        scm.graph, enc, counterfactual_path_set(scm.graph, [("x2", "7")]), seed=7
     )
     with pytest.raises(ModelError, match="no rows match"):
-        cf.intervene_conditioned(ds, enc.transform(ds), 1)
+        cf.pair_mask(ds)
 
 
-def test_condition_mask_continuous_tolerance():
-    ds = ColumnarDataset(
-        [Column("v", "continuous", np.array([1.0, 1.0 + 5e-10, 1.1]))]
+def test_counterfactual_pair_needs_the_condition_mask(bench_small):
+    scm, ds, enc, _ = bench_small
+    cf = StructuredModel(
+        scm.graph, enc, counterfactual_path_set(scm.graph, [("x2", "1")]), seed=7
     )
-    mask = condition_mask(ds, [("v", 1.0)])
-    assert mask.tolist() == [True, True, False]
+    with pytest.raises(ModelError, match="row mask"):
+        cf.interventional_pair(enc.transform(ds))
+
+
+def test_condition_mask_compares_labels_exactly():
+    ds = ColumnarDataset(
+        [
+            Column("v", "categorical", np.array(["1", "1.0", "0", "1"])),
+            Column("w", "categorical", np.array(["a", "a", "a", "b"])),
+        ]
+    )
+    assert condition_mask(ds, [("v", 1)]).tolist() == [True, False, False, True]
+    assert condition_mask(ds, [("v", "1"), ("w", "a")]).tolist() == [
+        True, False, False, False
+    ]
 
 
 def test_fresh_critic_outputs_zero(bench_small):
@@ -271,7 +283,7 @@ def test_backward_builds_no_tensor(bench_small, monkeypatch):
     model = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=23)
     x = enc.transform(ds)[:64]
     weights = np.linspace(0.5, 1.5, 64)
-    y_plus, y_minus, _ = model.interventional_pair(x)
+    y_plus, y_minus, _, _ = model.interventional_pair(x)
     gap = model.critic_value(y_plus) - model.critic_value(y_minus)
     penalty = model.gradient_penalty(y_plus, y_minus, np.random.default_rng(2))
     critic_loss = -(Tensor(weights.reshape(-1, 1)) * gap).mean() + 10.0 * penalty
@@ -310,24 +322,6 @@ def test_critic_learns_to_separate_clusters():
         opt.step(backward(loss, params))
     gap = model.critic_values(high).mean() - model.critic_values(low).mean()
     assert gap >= 0.5
-
-
-def test_observational_cascade_flag_changes_inputs(bench_small):
-    scm, ds, enc, _ = bench_small
-    x = enc.transform(ds)
-    forced = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=31)
-    cascaded = StructuredModel(
-        scm.graph, enc, total_path_set(scm.graph), seed=31, observational_cascade=True
-    )
-    # same parameters, different forward semantics: the mediator's prediction
-    # feeds the outcome net instead of the observed mediator value
-    teacher = forced.predict_observed(x)
-    chained = cascaded.predict_observed(x)
-    assert np.array_equal(teacher["s"], chained["s"])  # s has only root parents
-    assert not np.array_equal(teacher["y"], chained["y"])
-    assert float(forced.fit_loss(x, np.ones(ds.m)).data) != float(
-        cascaded.fit_loss(x, np.ones(ds.m)).data
-    )
 
 
 def test_parameter_sharing_between_views(bench_small):
@@ -415,10 +409,13 @@ def test_critic_context_must_be_non_descendant(bench_small):
         scm.graph, enc, mode, seed=0, critic_context_nodes=("x1", "x2")
     )
     x = enc.transform(ds)
-    context = model.critic_context(x)
-    assert context.shape == (ds.m, enc.block_width("x1") + enc.block_width("x2"))
-    values = model.critic_values(model.intervene_total(x, 1), context)
+    pair = model.interventional_pair(x)
+    blocks = np.r_[enc.block("x1"), enc.block("x2")]
+    assert np.array_equal(pair.context, x[:, blocks])
+    values = model.critic_values(pair.y_plus, pair.context)
     assert values.shape == (ds.m,)
+    rows = np.arange(ds.m) % 3 == 0
+    assert np.array_equal(model.interventional_pair(x, rows).context, x[rows][:, blocks])
 
 
 def test_checkpoint_refuses_other_graph(tmp_path, bench_small, no_path_graph):
@@ -448,14 +445,16 @@ PAIR_MODES = {
 
 
 def reference_pair(model, ds, x):
-    """The pair from the per-mode public cascades, one clamp per call."""
+    """The pair and its rows from the per-mode public cascades, one clamp
+    per call."""
     if model.mode.mode == "total":
-        return model.intervene_total(x, 1), model.intervene_total(x, 0), None
+        return model.intervene_total(x, 1), model.intervene_total(x, 0), np.arange(ds.m)
     if model.mode.mode == "path_specific":
-        return model.intervene_path_specific(x, 1), model.intervene_total(x, 0), None
-    plus, mask = model.intervene_conditioned(ds, x, 1)
-    minus, _ = model.intervene_conditioned(ds, x, 0)
-    return plus, minus, mask
+        plus = model.intervene_path_specific(x, 1)
+        return plus, model.intervene_total(x, 0), np.arange(ds.m)
+    mask = condition_mask(ds, model.mode.condition)
+    plus = model.intervene_total(x[mask], 1)
+    return plus, model.intervene_total(x[mask], 0), np.flatnonzero(mask)
 
 
 @pytest.mark.parametrize("mode", sorted(PAIR_MODES))
@@ -463,13 +462,12 @@ def test_interventional_pair_matches_per_clamp_cascades_bitwise(bench_small, mod
     scm, ds, enc, _ = bench_small
     model = StructuredModel(scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=13)
     x = enc.transform(ds)
-    y_plus, y_minus, mask = model.interventional_pair(x, ds)
-    ref_plus, ref_minus, ref_mask = reference_pair(model, ds, x)
+    y_plus, y_minus, rows, context = model.interventional_pair(x, model.pair_mask(ds))
+    ref_plus, ref_minus, ref_rows = reference_pair(model, ds, x)
     assert np.array_equal(y_plus, ref_plus)
     assert np.array_equal(y_minus, ref_minus)
-    assert (mask is None) == (ref_mask is None)
-    if mask is not None:
-        assert np.array_equal(mask, ref_mask)
+    assert np.array_equal(rows, ref_rows)
+    assert context is None
     assert mode == "total" or not np.array_equal(y_plus, model.intervene_total(x, 1))
 
 
@@ -491,7 +489,7 @@ def test_split_mask_sliced_per_batch_matches_batch_matching(bench_small, mode):
         sliced = model.interventional_pair(
             x[idx], mask=None if split_mask is None else split_mask[idx]
         )
-        matched = model.interventional_pair(x[idx], batch)
+        matched = model.interventional_pair(x[idx], model.pair_mask(batch))
         for a, b in zip(sliced, matched):
             assert (a is None and b is None) or np.array_equal(a, b)
 
@@ -500,8 +498,8 @@ def test_explicit_mask_matching_no_row_gives_an_empty_pair(bench_small):
     scm, ds, enc, _ = bench_small
     model = StructuredModel(scm.graph, enc, PAIR_MODES["counterfactual"](scm.graph), seed=13)
     x = enc.transform(ds)[:8]
-    y_plus, y_minus, _ = model.interventional_pair(x, mask=np.zeros(8, dtype=bool))
-    assert y_plus.shape == y_minus.shape == (0,)
+    y_plus, y_minus, rows, _ = model.interventional_pair(x, mask=np.zeros(8, dtype=bool))
+    assert y_plus.shape == y_minus.shape == rows.shape == (0,)
 
 
 def full_descendant_pair(model, x):
@@ -552,7 +550,7 @@ def test_pair_equals_full_descendant_cascades_bitwise(bench_small, mode):
     scm, ds, enc, _ = bench_small
     model = StructuredModel(scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=13)
     x = enc.transform(ds)
-    y_plus, y_minus, _ = model.interventional_pair(x)
+    y_plus, y_minus, _, _ = model.interventional_pair(x)
     ref_plus, ref_minus = full_descendant_pair(model, x)
     assert np.array_equal(y_plus, ref_plus)
     assert np.array_equal(y_minus, ref_minus)

@@ -250,6 +250,10 @@ def test_repeat_protocol_varies_split_per_repetition():
     first = artifacts[0]["train"].column("x1").values
     second = artifacts[1]["train"].column("x1").values
     assert not np.array_equal(first, second)
+    for art in artifacts:  # each artifact names the rows of ds it trained on
+        rows = art["train_rows"]
+        assert rows.size == art["train"].m == 240
+        assert np.array_equal(art["train"].column("x1").values, ds.column("x1").values[rows])
     assert report.accuracy is None
     assert len(report.effect.values) == 2
 
@@ -286,13 +290,13 @@ def test_refinement_batch_sliced_from_full_pair_matches_recomputation(mode):
     for _ in range(5):
         idx = rng.choice(ds.m, size=cfg.batch_size, replace=False)
         sliced = loop.refine_pair(full, idx)
-        y_plus, y_minus, mask = model.interventional_pair(loop.x[idx], ds.take(idx))
-        rows = idx if mask is None else idx[mask]
+        batch = model.interventional_pair(loop.x[idx], model.pair_mask(ds.take(idx)))
+        rows = idx[batch.rows]
         assert np.array_equal(sliced.rows, rows)
-        np.testing.assert_allclose(sliced.y_plus, y_plus, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(sliced.y_minus, y_minus, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sliced.y_plus, batch.y_plus, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sliced.y_minus, batch.y_minus, rtol=0, atol=1e-12)
         if model.critic_context_nodes:
-            assert np.array_equal(sliced.context, model.critic_context(loop.x[rows]))
+            assert np.array_equal(sliced.context, batch.context)
         else:
             assert sliced.context is None
         recomputed = loop.batch_pair(idx)
