@@ -1,18 +1,15 @@
 """Reverse-mode automatic differentiation over batched dense float64 arrays.
 
 A :class:`Tensor` wraps an ndarray and remembers the primitive operation that
-produced it, so a computation builds an operation tape as a DAG.
+produced it, so a computation builds an operation tape as a DAG.  The fit
+loss runs through it node by node; a critic's loss (weighted gap and gradient
+penalty) is one node with a closed-form parameter gradient
+(:func:`fairweigh.nn.critic_loss`).
 
 The tape is first-order, and a gradient is a plain ``np.ndarray``, not a
-:class:`Tensor`: nothing ever records or differentiates a gradient, so every
-vector-Jacobian product takes and returns arrays and :func:`backward` builds
-no tape node.  Gradients may share memory (``add`` hands the same array to
-both parents), so no code updates a gradient in place.  The one second-order
-quantity the model needs, the critic's gradient penalty, has a closed-form
-parameter gradient (:func:`fairweigh.nn.gradient_penalty`) that enters the
-tape as a single node.  Double backpropagation through the generic tape gave
-the same numbers, but recorded every node of the input gradient and
-differentiated it again, which made it the larger part of each critic step.
+:class:`Tensor`: every vector-Jacobian product takes and returns arrays and
+:func:`backward` builds no tape node.  Gradients may share memory (``add``
+hands the same array to both parents), so no code updates a gradient in place.
 
 Every primitive is one ``Tensor(data, parents, vjp=...)`` call.  Its
 vector-Jacobian product ``vjp(g, out)`` receives the gradient ``g`` of the
@@ -24,9 +21,8 @@ acyclic: a node references its parents and never the reverse, so reference
 counting frees each activation as soon as the last tensor built on it goes,
 without waiting for the cyclic garbage collector.
 
-All arithmetic is float64.  The engine is deliberately small: affine maps,
-pointwise activations, softmax, concatenation and reductions are everything a
-dense feed-forward net needs.
+All arithmetic is float64.  Affine maps, pointwise activations, softmax,
+concatenation and reductions are everything a dense feed-forward net needs.
 """
 
 from __future__ import annotations

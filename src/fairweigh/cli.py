@@ -55,7 +55,7 @@ from .graph import (
 )
 from .model import ModelError, StructuredModel
 from .reweighter import SolverError
-from .synth import generate, oracle_effect, parse_scm
+from .synth import LABELS, generate, oracle_effect, parse_scm
 from .trainer import TrainConfig, TrainingError, repeat_protocol, train, write_log
 
 CONFIG_KEYS = {
@@ -220,7 +220,8 @@ def cmd_reweigh(args) -> int:
     config = apply_overrides(load_config(args.config), args)
     ds, graph, declared_levels = load_inputs(config)
     mode = build_mode(config, graph)
-    validate_path_set(graph, mode)
+    # a condition value must be a declared or observed level of its node
+    validate_path_set(graph, mode, Encoder().fit(ds, declared_levels).levels)
     train_config = build_train_config(config)
     tau = float(config.get("tau", 0.05))
     repeats = int(config.get("repeats", 5))
@@ -300,12 +301,12 @@ def cmd_effects(args) -> int:
     config = apply_overrides(load_config(args.config), args)
     ds, graph, declared_levels = load_inputs(config)
     mode = build_mode(config, graph)
-    validate_path_set(graph, mode)
+    encoder = Encoder().fit(ds, declared_levels)
+    validate_path_set(graph, mode, encoder.levels)
     train_config = build_train_config(config)
     tau = float(config.get("tau", 0.05))
     weights = _read_weights(args.weights, ds.m) if args.weights else None
 
-    encoder = Encoder().fit(ds, declared_levels)
     model = StructuredModel(
         graph,
         encoder,
@@ -358,6 +359,9 @@ def cmd_gen_synth(args) -> int:
     if not scm_path.exists():
         raise ConfigError(f"scm file not found: {scm_path}")
     scm = parse_scm(scm_path.read_text(encoding="utf-8"), seed=args.seed)
+    condition = [tuple(c.split("=", 1)) for c in args.condition or ()]
+    if condition:  # checked before anything is written
+        conditioned = counterfactual_path_set(scm.graph, condition, lambda _: list(LABELS))
     ds = generate(scm, args.n)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -375,14 +379,8 @@ def cmd_gen_synth(args) -> int:
     if pi is not None:
         se, se_se = oracle_effect(scm, pi, n=args.oracle_samples, seed=args.seed)
         sidecar["indirect_effect"] = {"value": se, "stderr": se_se}
-    if args.condition:
-        condition = [tuple(c.split("=", 1)) for c in args.condition]
-        ce, ce_se = oracle_effect(
-            scm,
-            counterfactual_path_set(scm.graph, condition),
-            n=args.oracle_samples,
-            seed=args.seed,
-        )
+    if condition:
+        ce, ce_se = oracle_effect(scm, conditioned, n=args.oracle_samples, seed=args.seed)
         sidecar["counterfactual_effect"] = {
             "value": ce,
             "stderr": ce_se,

@@ -19,7 +19,7 @@ import numpy as np
 from .autodiff import Tensor, backward, no_grad
 from .data import ColumnarDataset, DataError, Encoder
 from .model import ModelError, Pair, StructuredModel
-from .nn import Adam, ParamStore, gradient_penalty, layer_sizes, mlp_forward
+from .nn import Adam, ParamStore, critic_loss, layer_sizes, mlp_forward
 
 __all__ = [
     "total_effect",
@@ -176,7 +176,7 @@ def wasserstein_estimate(
 
     store = ParamStore(seed)
     store.add_group("critic", layer_sizes(x_a.shape[1], DISTANCE_HIDDEN, 1), zero_final=True)
-    params = store.parameters(["critic"])
+    layers, params = store.group("critic"), store.parameters(["critic"])
     opt = Adam(params, DISTANCE_LR)
     rng = np.random.default_rng([seed, 3])
 
@@ -188,18 +188,16 @@ def wasserstein_estimate(
     for _ in range(steps):
         rows_a = x_a[rng.integers(0, x_a.shape[0], size=batch)]
         rows_b = x_b[cdf.searchsorted(rng.random(batch), side="right")]
-        value_a = mlp_forward(store.group("critic"), Tensor(rows_a), "linear")
-        value_b = mlp_forward(store.group("critic"), Tensor(rows_b), "linear")
         u = rng.uniform(0.0, 1.0, size=(batch, 1))
-        penalty = gradient_penalty(store.group("critic"), u * rows_a + (1.0 - u) * rows_b)
-        loss = value_b.mean() - value_a.mean() + DISTANCE_PENALTY * penalty
+        x_hat = u * rows_a + (1.0 - u) * rows_b
+        loss, _, _ = critic_loss(layers, rows_a, rows_b, 1.0 / batch, x_hat, DISTANCE_PENALTY)
         if not np.isfinite(loss.data):
             raise FloatingPointError("distance critic diverged (non-finite loss)")
         opt.step(backward(loss, params))
 
     with no_grad():
-        c_a = mlp_forward(store.group("critic"), Tensor(x_a), "linear").data[:, 0]
-        c_b = mlp_forward(store.group("critic"), Tensor(x_b), "linear").data[:, 0]
+        c_a = mlp_forward(layers, Tensor(x_a), "linear").data[:, 0]
+        c_b = mlp_forward(layers, Tensor(x_b), "linear").data[:, 0]
     return float(c_a.mean() - omega @ c_b)
 
 

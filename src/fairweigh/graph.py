@@ -333,24 +333,29 @@ def indirect_path_set(g: CausalGraph) -> PathSet:
     return PathSet("path_specific", frozenset(edges))
 
 
-def counterfactual_path_set(g: CausalGraph, condition) -> PathSet:
+def counterfactual_path_set(g: CausalGraph, condition, levels=None) -> PathSet:
     """Full intervention evaluated on the sub-population matching ``condition``,
-    (node, value) pairs on categorical nodes other than the sensitive one."""
+    (node, value) pairs on categorical nodes other than the sensitive one; a
+    value must be one of ``levels(node)``, the node's labels, when given."""
     pairs = tuple((str(n), v) for n, v in condition)
     if not pairs:
         raise GraphError("counterfactual mode requires a non-empty condition")
-    for name, _ in pairs:
+    for name, value in pairs:
         if name not in {s.name for s in g.nodes}:
             raise GraphError(f"condition names unknown node {name!r}")
         if name == g.sensitive:
             raise GraphError("condition must not include the sensitive node")
         if g.node(name).kind != "categorical":
             raise GraphError(f"condition node {name!r} is not categorical")
+        if levels is not None and str(value) not in levels(name):
+            raise GraphError(
+                f"condition value {value!r} is none of the levels {levels(name)} of {name!r}"
+            )
     return PathSet("counterfactual", _all_path_edges(g), pairs)
 
 
-def validate_path_set(g: CausalGraph, ps: PathSet) -> None:
-    """Check a path set against the graph it will be used with."""
+def validate_path_set(g: CausalGraph, ps: PathSet, levels=None) -> None:
+    """Check a path set against the graph (and node ``levels``) it is used with."""
     if ps.mode == "path_specific":
         on_any_path = _all_path_edges(g)
         stray = ps.on_pi_edges - on_any_path
@@ -362,7 +367,7 @@ def validate_path_set(g: CausalGraph, ps: PathSet) -> None:
         if not ps.on_pi_edges:
             raise GraphError("path_specific mode requires a non-empty edge set")
     if ps.mode == "counterfactual":
-        counterfactual_path_set(g, ps.condition)
+        counterfactual_path_set(g, ps.condition, levels)
 
 
 def pi_active_nodes(g: CausalGraph, ps: PathSet) -> frozenset[str]:

@@ -24,6 +24,7 @@ from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
 from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
 from .nn import (
     ParamStore,
+    critic_loss,
     gradient_penalty,
     layer_sizes,
     load_params,
@@ -303,12 +304,14 @@ class StructuredModel:
 
     # -- critic --------------------------------------------------------------
 
-    def _critic_input(self, y: Tensor, context: np.ndarray | None) -> Tensor:
+    def _critic_input(self, y, context: np.ndarray | None) -> np.ndarray:
+        """Critic input rows: the outcome probability, then the context."""
+        y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         if not self.critic_context_nodes:
             return y
         if context is None:
             raise ModelError("critic context nodes configured but no context given")
-        return concat([y, Tensor(context)])
+        return np.concatenate([y, context], axis=1)
 
     def critic_context(self, x: np.ndarray) -> np.ndarray | None:
         if not self.critic_context_nodes:
@@ -318,36 +321,32 @@ class StructuredModel:
 
     def critic_value(self, y, context: np.ndarray | None = None) -> Tensor:
         """Unbounded scalar critic of the outcome probability (recorded)."""
-        if not isinstance(y, Tensor):
-            y = Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1))
-        inputs = self._critic_input(y, context)
+        inputs = Tensor(self._critic_input(y, context))
         return mlp_forward(self.params.group("critic"), inputs, "linear")
 
     def critic_values(self, y: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
         with no_grad():
             return self.critic_value(y, context).data[:, 0].copy()
 
-    def gradient_penalty(
-        self,
-        y_plus: np.ndarray,
-        y_minus: np.ndarray,
-        rng: np.random.Generator,
-        context: np.ndarray | None = None,
-    ) -> Tensor:
-        """Mean (||grad_x critic(x_hat)|| - 1)^2 at per-row interpolates.
-
-        x_hat mixes the paired outcome values with one uniform draw per row
-        and appends the critic context; see :func:`nn.gradient_penalty`.
-        """
-        y_plus = np.asarray(y_plus, dtype=np.float64).reshape(-1, 1)
-        y_minus = np.asarray(y_minus, dtype=np.float64).reshape(-1, 1)
+    def _penalty_input(self, y_plus, y_minus, rng, context) -> np.ndarray:
+        """x_hat: the paired outcomes mixed by one uniform draw per row."""
+        y_plus, y_minus = (np.reshape(y, (-1, 1)) for y in (y_plus, y_minus))
         if y_plus.size == 0 or y_minus.size == 0:
             raise ModelError("gradient penalty needs non-empty batches")
         u = rng.uniform(0.0, 1.0, size=(y_plus.shape[0], 1))
-        mixed = u * y_plus + (1.0 - u) * y_minus
-        if context is not None:
-            mixed = np.concatenate([mixed, context], axis=1)
-        return gradient_penalty(self.params.group("critic"), mixed)
+        return self._critic_input(u * y_plus + (1.0 - u) * y_minus, context)
+
+    def gradient_penalty(self, y_plus, y_minus, rng, context=None) -> Tensor:
+        """Mean (||grad_x critic(x_hat)|| - 1)^2 at per-row interpolates."""
+        x_hat = self._penalty_input(y_plus, y_minus, rng, context)
+        return gradient_penalty(self.params.group("critic"), x_hat)
+
+    def critic_loss(self, pair: Pair, coef, rng, penalty_coef: float):
+        """:func:`nn.critic_loss` on ``pair``, its penalty at the interpolates
+        of :meth:`gradient_penalty` (drawn from ``rng`` the same way)."""
+        x_hat = self._penalty_input(pair.y_plus, pair.y_minus, rng, pair.context)
+        high, low = (self._critic_input(y, pair.context) for y in pair[:2])
+        return critic_loss(self.params.group("critic"), high, low, coef, x_hat, penalty_coef)
 
     # -- persistence ------------------------------------------------------------
 

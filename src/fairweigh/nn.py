@@ -2,7 +2,9 @@
 
 Parameters live in a :class:`ParamStore` as named groups, one group per
 sub-network, so two network views can evaluate the same group and stay
-synchronized by construction.  Updates are plain momentum SGD or Adam, and the
+synchronized by construction.  A critic's loss, its weighted gap and gradient
+penalty, is one tape node with a closed-form parameter gradient
+(:func:`critic_loss`).  Updates are plain momentum SGD or Adam, and the
 learning-rate schedule decays polynomially with training progress.
 """
 
@@ -104,14 +106,32 @@ def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, head: str) -
     return z.softmax(axis=1)
 
 
-def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray) -> Tensor:
-    """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of ``x_hat``, as
-    one tape node whose parameter gradient is computed in closed form.
+def _forward(weights, biases, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Activations h_0 = x, h_l = tanh(h_{l-1} W_l + b_l) (l < L), slopes 1 - h_l^2."""
+    hs = [np.asarray(x, dtype=np.float64)]
+    for weight, bias in zip(weights[:-1], biases[:-1]):
+        hs.append(np.tanh(_matmul(hs[-1], weight) + bias))
+    return hs, [None] + [1.0 - h * h for h in hs[1:]]
 
-    ``layers`` is a critic with tanh hidden layers and a linear head of width
-    1, layers l = 1..L with weights W_l and biases b_l.  With B rows:
 
-    - Forward: h_0 = x_hat and h_l = tanh(h_{l-1} W_l + b_l) for l < L.
+def _sweep(weights, hs, slopes, g, inject, grad_w, grad_b) -> None:
+    """Adds the gradients of W_l and b_l, l < L, through the forward ``hs`` to
+    ``grad_w`` and ``grad_b``, from ``g`` at h_{L-1} plus ``inject[l]`` at h_l."""
+    for l in range(len(hs) - 1, 0, -1):
+        a = (g if inject is None else g + inject[l]) * slopes[l]
+        grad_w[l - 1] += hs[l - 1].T @ a
+        grad_b[l - 1] += a.sum(axis=0)
+        if l > 1:
+            g = a @ weights[l - 1].T
+
+
+def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b) -> float:
+    """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of x_hat = h_0;
+    adds ``scale`` times its parameter gradient to ``grad_w`` and ``grad_b``.
+
+    The critic has tanh hidden layers and a linear head of width 1, layers
+    l = 1..L with weights W_l and biases b_l.  With B rows:
+
     - Input gradient: r_{L-1} = W_L[:, 0] on every row; then
       rho_l = r_l * (1 - h_l^2) and r_{l-1} = rho_l W_l^T.
     - Value: n = sqrt(||r_0||^2 + 1e-24) per row (the epsilon keeps the norm
@@ -122,51 +142,62 @@ def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray)
     - Gradient through the forward, with D_l injected: start from G = 0.  For
       l = L-1..1: A = (G + D_l) * (1 - h_l^2), dW_l += h_{l-1}^T A,
       db_l += sum over rows of A, G = A W_l^T.  db_L is 0.
-
-    The value equals what double backpropagation through the tape gives, bit
-    for bit; the gradients agree to rounding.
     """
-    weights = [w.data for w, _ in layers]
-    if weights[-1].shape[1] != 1:
-        raise ValueError(
-            f"gradient penalty needs a critic head of width 1, got {weights[-1].shape[1]}"
-        )
     depth = len(weights) - 1
-    hs = [np.asarray(x_hat, dtype=np.float64)]
-    for weight, (_, bias) in zip(weights[:-1], layers[:-1]):
-        hs.append(np.tanh(_matmul(hs[-1], weight) + bias.data))
     rows = hs[0].shape[0]
-    # r[l] and rho[l] of the docstring; slopes[l] = 1 - h_l^2
+    # r[l] and rho[l] of the docstring
     r = [None] * depth + [np.broadcast_to(weights[-1][:, 0], (rows, weights[-1].shape[0]))]
     rho = [None] * (depth + 1)
-    slopes = [None] + [1.0 - h * h for h in hs[1:]]
     for l in range(depth, 0, -1):
         rho[l] = r[l] * slopes[l]
         r[l - 1] = rho[l] @ weights[l - 1].T
     norm = np.sqrt((r[0] * r[0]).sum(axis=1, keepdims=True) + 1e-24)
     value = ((norm - 1.0) ** 2.0).sum() * (1.0 / float(rows))
-
-    grad_w = [None] * (depth + 1)
     inject = [None] * (depth + 1)
-    big_r = (2.0 / rows) * (norm - 1.0) / norm * r[0]
+    big_r = (scale * 2.0 / rows) * (norm - 1.0) / norm * r[0]
     for l in range(1, depth + 1):
-        grad_w[l - 1] = big_r.T @ rho[l]
+        grad_w[l - 1] += big_r.T @ rho[l]
         q = big_r @ weights[l - 1]
         inject[l] = -2.0 * q * r[l] * hs[l]
         big_r = q * slopes[l]
-    grad_w[depth] = big_r.sum(axis=0).reshape(-1, 1)
-    grad_b = [None] * depth + [np.zeros(1)]
-    g = 0.0
-    for l in range(depth, 0, -1):
-        a = (g + inject[l]) * slopes[l]
-        grad_w[l - 1] += hs[l - 1].T @ a
-        grad_b[l - 1] = a.sum(axis=0)
-        if l > 1:
-            g = a @ weights[l - 1].T
+    grad_w[depth] += big_r.sum(axis=0).reshape(-1, 1)
+    _sweep(weights, hs, slopes, 0.0, inject, grad_w, grad_b)
+    return float(value)
 
-    params = [p for layer in layers for p in layer]
+
+def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray) -> Tensor:
+    """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of ``x_hat``: the
+    loss of :func:`critic_loss` with no objective rows.  The value equals
+    double backpropagation through the tape, bit for bit."""
+    none = np.empty((0, np.shape(x_hat)[1]))
+    return critic_loss(layers, none, none, 0.0, x_hat, 1.0)[0]
+
+
+def critic_loss(layers, x_high, x_low, coef, x_hat, penalty_coef) -> tuple[Tensor, float, float]:
+    """A critic's training loss as one tape node with a closed-form parameter
+    gradient, and the objective and penalty it is made of: the objective is
+    sum_i coef_i (C(x_high_i) - C(x_low_i)) (``coef`` a scalar or one value
+    per row), the loss ``penalty_coef`` times the :func:`_penalty` at
+    ``x_hat`` minus the objective.  Each input runs its own forward, and each
+    forward of the objective one backward sweep."""
+    weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
+    if weights[-1].shape[1] != 1:
+        raise ValueError(f"the critic needs a head of width 1, got {weights[-1].shape[1]}")
+    grad_w, grad_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
+    objective = 0.0
+    for x, sign in ((x_high, 1.0), (x_low, -1.0)):
+        hs, slopes = _forward(weights, biases, x)
+        c = np.broadcast_to(np.reshape(coef, (-1, 1)), (hs[0].shape[0], 1))
+        objective += sign * float((c * (_matmul(hs[-1], weights[-1]) + biases[-1])).sum())
+        top = -sign * c  # the loss's gradient at the head's output
+        grad_w[-1] += hs[-1].T @ top
+        grad_b[-1] += top.sum(axis=0)
+        _sweep(weights, hs, slopes, top * weights[-1][:, 0], None, grad_w, grad_b)
+    penalty = _penalty(weights, *_forward(weights, biases, x_hat), penalty_coef, grad_w, grad_b)
     grads = [gr for pair in zip(grad_w, grad_b) for gr in pair]
-    return Tensor(value, params, vjp=lambda g, out: tuple(g * gr for gr in grads))
+    loss = Tensor(penalty_coef * penalty - objective, [p for layer in layers for p in layer],
+                  vjp=lambda g, out: tuple(g * gr for gr in grads))
+    return loss, objective, penalty
 
 
 def learning_rate(eta0: float, progress: float) -> float:
@@ -200,7 +231,8 @@ class MomentumSGD:
 
 
 class Adam:
-    """Adam with bias correction; ``beta1``, ``beta2`` and ``eps`` are fixed."""
+    """Adam with bias correction; ``beta1``, ``beta2`` and ``eps`` are fixed.
+    The moments of all parameters are one flat vector."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -210,20 +242,21 @@ class Adam:
         self.params = list(params)
         self.lr = float(lr)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros(sum(p.data.size for p in self.params))
+        self.v = np.zeros_like(self.m)
+        self._ends = np.cumsum([p.data.size for p in self.params]).tolist()
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
-        _check_finite(grads)
+        g = np.concatenate([np.ravel(gr) for gr in grads])
+        _check_finite([g])
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g**2
-            m_hat = self.m[i] / b1c
-            v_hat = self.v[i] / b2c
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g**2
+        update = self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
+        for p, lo, hi in zip(self.params, [0, *self._ends], self._ends):
+            p.data = p.data - update[lo:hi].reshape(p.data.shape)
 
 
 def save_params(store: ParamStore, path, meta: dict | None = None) -> None:

@@ -35,8 +35,10 @@ __all__ = [
     "oracle_effect",
     "benchmark_document",
     "benchmark_scm",
+    "LABELS",
 ]
 
+LABELS = ("0", "1")  # a binary node's two labels in generated data
 _IDENT = re.compile(r"^[A-Za-z_]\w*$")
 
 
@@ -229,7 +231,7 @@ def _cascade(
 
 
 def generate(scm: SyntheticSCM, n: int) -> ColumnarDataset:
-    """Ancestral sampling; binary nodes become string columns "0"/"1"."""
+    """Ancestral sampling; binary nodes become string columns of ``LABELS``."""
     if n < 1:
         raise GraphError("sample count must be >= 1")
     rng = np.random.default_rng(scm.seed)
@@ -241,16 +243,19 @@ def generate(scm: SyntheticSCM, n: int) -> ColumnarDataset:
         if spec.kind == CONTINUOUS:
             columns.append(Column(spec.name, CONTINUOUS, data))
         else:
-            labels = np.where(data > 0.5, "1", "0").astype(str)
+            labels = np.where(data > 0.5, LABELS[1], LABELS[0])
             columns.append(Column(spec.name, CATEGORICAL, labels))
     return ColumnarDataset(columns)
 
 
 def _condition_mask(values: dict[str, np.ndarray], condition) -> np.ndarray:
-    """Draws whose binary node values equal every (node, value) pair."""
+    """Draws whose binary node labels equal every (node, value) pair, compared
+    as text; a draw's label is ``LABELS[draw > 0.5]``, as :func:`generate`
+    writes it."""
     mask = np.ones(next(iter(values.values())).size, dtype=bool)
-    for name, raw in condition:
-        mask &= values[name] == float(raw)
+    for name, value in condition:
+        matches = np.array([label == str(value) for label in LABELS])
+        mask &= matches[(values[name] > 0.5).astype(np.intp)]
     return mask
 
 

@@ -9,7 +9,8 @@ epoch's weighted fit.
 After the fit steps the fit parameters stay frozen for the rest of the epoch,
 so the interventional pair is computed once over the full split: the
 refinement critic steps take their batches' rows from it, and the epoch's
-effect estimate reuses it with the solved weights.
+effect estimate reuses it with the solved weights.  A critic step is one
+closed-form loss (:meth:`StructuredModel.critic_loss`) and one Adam update.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import backward
 from .data import ColumnarDataset, Encoder, SplitPlan, split_indices
 from .effects import (
     EffectReport,
@@ -166,19 +167,13 @@ class _Loop:
         return Pair(*(None if part is None else part[positions] for part in full))
 
     def critic_step(self, pair: Pair) -> None:
-        y_plus, y_minus, rows, context = pair
-        if y_plus.size == 0:
+        if pair.rows.size == 0:
             return
-        v_plus = self.model.critic_value(y_plus, context)
-        v_minus = self.model.critic_value(y_minus, context)
-        w_col = Tensor(self.weights[rows].reshape(-1, 1))
-        objective = (w_col * (v_plus - v_minus)).mean()
-        penalty = self.model.gradient_penalty(y_plus, y_minus, self.penalty_rng, context)
-        loss = -objective + self.config.penalty_coef * penalty
-        grads = backward(loss, self.critic_params)
-        self.critic_opt.step(grads)
-        self.last_critic_objective = float(objective.data)
-        self.last_penalty = float(penalty.data)
+        coef = self.weights[pair.rows] / pair.rows.size
+        loss, self.last_critic_objective, self.last_penalty = self.model.critic_loss(
+            pair, coef, self.penalty_rng, self.config.penalty_coef
+        )
+        self.critic_opt.step(backward(loss, self.critic_params))
 
     def orient_critic(self, pair: Pair) -> None:
         """Exploit the critic's sign symmetry: the penalty is invariant under

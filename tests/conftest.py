@@ -6,6 +6,16 @@ from fairweigh.graph import parse_graph, total_path_set
 from fairweigh.model import StructuredModel
 from fairweigh.synth import benchmark_scm, generate
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # reproducible property tests: fixed example order, no time limit, and no
+    # example database carried between runs
+    settings.register_profile("fairweigh", derandomize=True, deadline=None, database=None)
+    settings.load_profile("fairweigh")
+
 DIAMOND_DOC = """
 [nodes]
 a continuous

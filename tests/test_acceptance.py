@@ -30,7 +30,7 @@ from fairweigh.graph import (
     parse_graph,
     total_path_set,
 )
-from fairweigh.model import StructuredModel
+from fairweigh.model import Pair, StructuredModel
 from fairweigh.nn import finite_difference
 from fairweigh.reweighter import check_feasibility, solve_weights
 from fairweigh.synth import benchmark_document, benchmark_scm, generate, oracle_effect
@@ -184,10 +184,16 @@ outcome y
         def penalty_fn():
             return model.gradient_penalty(y_plus, y_minus, np.random.default_rng(i))
 
+        def critic_loss_fn():  # the loss a critic step trains on
+            pair = Pair(y_plus, y_minus, np.arange(m), None)
+            coef = sample_weights / m
+            return model.critic_loss(pair, coef, np.random.default_rng(i), 10.0)[0]
+
         for fn, params in (
             (fit_fn, fit_params),
             (critic_fn, critic_params),
             (penalty_fn, critic_params),
+            (critic_loss_fn, critic_params),
         ):
             analytic = backward(fn(), params)
             reference = finite_difference(fn, params)

@@ -42,7 +42,7 @@ def expressions(draw):
     return shapes, ops, reduction, axis, keepdims, seed
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(expressions())
 def test_broadcasting_gradients_match_finite_differences(case):
     shapes, ops, reduction, axis, keepdims, seed = case

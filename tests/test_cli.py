@@ -265,6 +265,26 @@ def test_condition_on_a_continuous_node_exits_2(workspace, tmp_path, capsys):
     assert "'x1' is not categorical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "1.0"])
+def test_condition_value_must_be_a_level_of_its_node(workspace, tmp_path, capsys, value):
+    """A value that is no declared or observed label exits 2 and names the
+    node, the value and the levels, in every command that takes one."""
+    message = f"condition value {value!r} is none of the levels"
+    config = config_for(
+        workspace, f"run_level_{value}", mode="counterfactual", condition=[["x2", value]]
+    )
+    for command in ("reweigh", "effects"):
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "['0', '1'] of 'x2'" in err
+    args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "50",
+            "--out", str(tmp_path / "g.csv"), "--oracle-samples", "500"]
+    assert main(args + ["--condition", f"x2={value}"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "['0', '1'] of 'x2'" in err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_gen_synth_rejects_a_non_numeric_noise_std(workspace, tmp_path, capsys):
     doc = benchmark_document().replace("x1 = normal(0, 1)", "x1 = normal(0, abc)")
     (tmp_path / "scm.txt").write_text(doc, encoding="utf-8")

@@ -77,6 +77,27 @@ def test_adam_first_step_displacement_is_lr():
     assert np.allclose(-p.data, 1e-3, rtol=1e-6)
 
 
+def test_flat_adam_is_bit_equal_to_the_per_array_formula():
+    rng = np.random.default_rng(21)
+    shapes = [(3, 4), (4,), (4, 1), (1,)]
+    params = [Tensor(rng.normal(size=shape)) for shape in shapes]
+    reference = [p.data.copy() for p in params]
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    opt = Adam(params, lr=1e-2)
+    for t in range(1, 51):
+        grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for shape in shapes]
+        opt.step(grads)
+        b1c, b2c = 1.0 - Adam.beta1**t, 1.0 - Adam.beta2**t
+        for i, g in enumerate(grads):
+            m[i] = Adam.beta1 * m[i] + (1.0 - Adam.beta1) * g
+            v[i] = Adam.beta2 * v[i] + (1.0 - Adam.beta2) * g**2
+            m_hat, v_hat = m[i] / b1c, v[i] / b2c
+            reference[i] = reference[i] - opt.lr * m_hat / (np.sqrt(v_hat) + Adam.eps)
+        for p, r in zip(params, reference):
+            assert p.data.shape == r.shape and np.array_equal(p.data, r)
+
+
 def test_nan_gradient_aborts_step():
     p = Tensor(np.zeros(2))
     opt = MomentumSGD([p], lr=0.1)

@@ -62,7 +62,7 @@ def documents(draw):
     return "\n".join(f"[{name}]\n" + "\n".join(body) for name, body in sections)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
+@settings(max_examples=400)
 @given(st.one_of(documents(), st.text(max_size=200)))
 def test_parsers_raise_only_graph_errors(text):
     for parse in (parse_graph, parse_scm):

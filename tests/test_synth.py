@@ -192,6 +192,16 @@ def test_counterfactual_oracle_filters_condition():
     assert se > 0 and ce != te
 
 
+def test_oracle_condition_matches_labels_as_text():
+    """As in the learned pipeline, a condition value is a label: "1.0" is
+    not the label "1" that generated data holds."""
+    scm = benchmark_scm(seed=0)
+    ps = counterfactual_path_set(scm.graph, [("x2", "1")])
+    assert oracle_effect(scm, ps, n=2_000, seed=5)[1] > 0
+    with pytest.raises(GraphError, match="no draws match"):
+        oracle_effect(scm, counterfactual_path_set(scm.graph, [("x2", "1.0")]), n=2_000)
+
+
 @pytest.mark.parametrize("condition", [(), (("x2", "1"),)], ids=["total", "counterfactual"])
 def test_oracle_route_equals_two_clamp_contrast(condition):
     """Total and counterfactual path sets select every s -> y edge, so routing

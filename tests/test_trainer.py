@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -5,10 +6,12 @@ import numpy as np
 import pytest
 
 from fairweigh import trainer
+from fairweigh.autodiff import Tensor, backward
 from fairweigh.data import Column, ColumnarDataset, Encoder
 from fairweigh.effects import estimate_effect
 from fairweigh.graph import counterfactual_path_set, indirect_path_set, total_path_set
 from fairweigh.model import StructuredModel
+from fairweigh.nn import Adam
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_scm, generate, parse_scm
 from fairweigh.trainer import (
@@ -302,6 +305,36 @@ def test_refinement_batch_sliced_from_full_pair_matches_recomputation(mode):
         recomputed = loop.batch_pair(idx)
         assert np.array_equal(recomputed.rows, rows)
         np.testing.assert_allclose(recomputed.y_plus, sliced.y_plus, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_critic_step_logs_and_applies_the_loss_of_the_tape(mode):
+    """A critic step logs the objective and penalty that the tape composition
+    of its loss gives (two recorded critic forwards, the weighted gap and the
+    penalty at the same interpolates), and takes the Adam step of its
+    gradient."""
+    ds, enc, model, cfg = mode_setup(mode)
+    train(model, ds, replace(cfg, epochs=1))  # non-trivial fit and critic parameters
+    loop = _Loop(model, ds, cfg)
+    loop.weights = np.random.default_rng(3).uniform(0.2, 2.0, ds.m)
+    pair = loop.batch_pair(np.random.default_rng(4).choice(ds.m, cfg.batch_size, replace=False))
+    params = model.params.parameters(["critic"])
+    gap = model.critic_value(pair.y_plus, pair.context) - model.critic_value(
+        pair.y_minus, pair.context
+    )
+    objective = (Tensor(loop.weights[pair.rows].reshape(-1, 1)) * gap).mean()
+    rng = copy.deepcopy(loop.penalty_rng)
+    penalty = model.gradient_penalty(pair.y_plus, pair.y_minus, rng, pair.context)
+    expected = [Tensor(p.data.copy()) for p in params]
+    Adam(expected, cfg.critic_lr).step(
+        backward(-objective + cfg.penalty_coef * penalty, params)
+    )
+
+    loop.critic_step(pair)
+    for logged, ref in ((loop.last_critic_objective, objective), (loop.last_penalty, penalty)):
+        assert abs(logged - float(ref.data)) <= 1e-12 * abs(float(ref.data))
+    for p, e in zip(params, expected):
+        np.testing.assert_allclose(p.data, e.data, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
