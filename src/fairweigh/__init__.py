@@ -58,56 +58,3 @@ from .effects import (
 from .synth import SyntheticSCM, benchmark_scm, generate, oracle_effect, parse_scm
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CausalGraph",
-    "GraphError",
-    "NodeSpec",
-    "PathSet",
-    "counterfactual_path_set",
-    "direct_path_set",
-    "enumerate_paths",
-    "graph_fingerprint",
-    "indirect_path_set",
-    "intervention_surgery",
-    "parse_graph",
-    "total_path_set",
-    "ColumnarDataset",
-    "Column",
-    "DataError",
-    "Encoder",
-    "SplitPlan",
-    "export_weights",
-    "load_csv",
-    "split",
-    "ModelError",
-    "StructuredModel",
-    "condition_mask",
-    "FeasibilityReport",
-    "SolverError",
-    "WeightVector",
-    "check_feasibility",
-    "project_scaled_simplex",
-    "solve_weights",
-    "TrainConfig",
-    "TrainingError",
-    "repeat_protocol",
-    "train",
-    "EffectReport",
-    "MetricSummary",
-    "counterfactual_effect",
-    "discriminator_gap",
-    "downstream_accuracy",
-    "estimate_effect",
-    "path_specific_effect",
-    "statistical_parity",
-    "total_effect",
-    "wasserstein_distance",
-    "wasserstein_estimate",
-    "SyntheticSCM",
-    "benchmark_scm",
-    "generate",
-    "oracle_effect",
-    "parse_scm",
-    "__version__",
-]

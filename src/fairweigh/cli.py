@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
@@ -108,6 +109,40 @@ def load_config(path) -> dict:
     return raw
 
 
+def read_config(args: argparse.Namespace) -> dict:
+    """The run config of ``--config`` with the command-line overrides, its
+    numbers checked."""
+    config = apply_overrides(load_config(args.config), args)
+    for name, types, in_range, requirement in (
+        ("tau", (int, float), lambda v: v >= 0, "a number >= 0"),
+        ("repeats", (int,), lambda v: v >= 1, "an integer >= 1"),
+        ("train_fraction", (int, float), lambda v: 0 < v < 1, "a number strictly between 0 and 1"),
+        ("wasserstein_steps", (int,), lambda v: v >= 1, "an integer >= 1"),
+    ):
+        value = config.get(name)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, types)
+            or not (math.isfinite(value) and in_range(value))
+        ):
+            raise ConfigError(f"{name} must be {requirement}, got {value!r}")
+    return config
+
+
+def parse_condition(entries) -> list[tuple]:
+    """(node, value) pairs from a list of ``NODE=VALUE`` strings (the
+    ``--condition`` flags) or of [node, value] pairs (a run config)."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"condition must be a list of [node, value] pairs, got {entries!r}")
+    pairs = [entry.split("=", 1) if isinstance(entry, str) else entry for entry in entries]
+    for entry, pair in zip(entries, pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(
+                f"condition entry {entry!r} is neither NODE=VALUE nor a [node, value] pair"
+            )
+    return [tuple(pair) for pair in pairs]
+
+
 def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
     config = dict(config)
     train_section = dict(config.get("train", {}))
@@ -177,7 +212,7 @@ def build_mode(config: dict, graph: CausalGraph) -> PathSet:
         condition = config.get("condition")
         if not condition:
             raise ConfigError("counterfactual mode requires a condition")
-        return counterfactual_path_set(graph, [(n, v) for n, v in condition])
+        return counterfactual_path_set(graph, parse_condition(condition))
     raise ConfigError(f"unknown fairness mode {mode!r}")
 
 
@@ -217,7 +252,7 @@ def _write_report(out_dir: Path, report: EffectReport) -> None:
 
 
 def cmd_reweigh(args) -> int:
-    config = apply_overrides(load_config(args.config), args)
+    config = read_config(args)
     ds, graph, declared_levels = load_inputs(config)
     mode = build_mode(config, graph)
     # a condition value must be a declared or observed level of its node
@@ -298,7 +333,7 @@ def _read_weights(path, m: int) -> np.ndarray:
 
 
 def cmd_effects(args) -> int:
-    config = apply_overrides(load_config(args.config), args)
+    config = read_config(args)
     ds, graph, declared_levels = load_inputs(config)
     mode = build_mode(config, graph)
     encoder = Encoder().fit(ds, declared_levels)
@@ -359,14 +394,10 @@ def cmd_gen_synth(args) -> int:
     if not scm_path.exists():
         raise ConfigError(f"scm file not found: {scm_path}")
     scm = parse_scm(scm_path.read_text(encoding="utf-8"), seed=args.seed)
-    condition = [tuple(c.split("=", 1)) for c in args.condition or ()]
-    if condition:  # checked before anything is written
+    condition = parse_condition(args.condition or [])
+    if condition:
         conditioned = counterfactual_path_set(scm.graph, condition, lambda _: list(LABELS))
     ds = generate(scm, args.n)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(ds, out)
-
     sidecar: dict = {"n": args.n, "seed": args.seed, "oracle_samples": args.oracle_samples}
     te, te_se = oracle_effect(
         scm, total_path_set(scm.graph), n=args.oracle_samples, seed=args.seed
@@ -386,6 +417,9 @@ def cmd_gen_synth(args) -> int:
             "stderr": ce_se,
             "condition": [list(c) for c in condition],
         }
+    out = Path(args.out)  # written only once every oracle has run
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_csv(ds, out)
     Path(str(out) + ".oracle.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -394,7 +428,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = apply_overrides(load_config(args.config), args)
+    config = read_config(args)
     ds, graph, declared_levels = load_inputs(config)
     plan = SplitPlan(
         config.get("train", {}).get("seed", TrainConfig().seed),

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, no_grad
+from .autodiff import backward
 from .data import ColumnarDataset, DataError, Encoder
 from .model import ModelError, Pair, StructuredModel
-from .nn import Adam, ParamStore, critic_loss, layer_sizes, mlp_forward
+from .nn import Adam, ParamStore, Scratch, critic_loss, layer_sizes, mlp_forward
 
 __all__ = [
     "total_effect",
@@ -185,19 +185,22 @@ def wasserstein_estimate(
     cdf = omega.cumsum()
     cdf /= cdf[-1]
     batch = min(DISTANCE_BATCH, x_a.shape[0], x_b.shape[0])
+    scratch = Scratch(batch)
     for _ in range(steps):
         rows_a = x_a[rng.integers(0, x_a.shape[0], size=batch)]
         rows_b = x_b[cdf.searchsorted(rng.random(batch), side="right")]
         u = rng.uniform(0.0, 1.0, size=(batch, 1))
         x_hat = u * rows_a + (1.0 - u) * rows_b
-        loss, _, _ = critic_loss(layers, rows_a, rows_b, 1.0 / batch, x_hat, DISTANCE_PENALTY)
+        loss, _, _ = critic_loss(
+            layers, rows_a, rows_b, 1.0 / batch, x_hat, DISTANCE_PENALTY, scratch
+        )
         if not np.isfinite(loss.data):
             raise FloatingPointError("distance critic diverged (non-finite loss)")
         opt.step(backward(loss, params))
 
-    with no_grad():
-        c_a = mlp_forward(layers, Tensor(x_a), "linear").data[:, 0]
-        c_b = mlp_forward(layers, Tensor(x_b), "linear").data[:, 0]
+    del scratch  # the read-out below runs on all rows at once
+    c_a = mlp_forward(layers, x_a, "linear")[:, 0]
+    c_b = mlp_forward(layers, x_b, "linear")[:, 0]
     return float(c_a.mean() - omega @ c_b)
 
 

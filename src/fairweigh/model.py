@@ -7,10 +7,13 @@ outputs through the graph instead.  Both views resolve a node to the same
 parameter group, so they can never drift apart.
 
 Intermediate categorical values propagate as probability vectors (soft,
-deterministic, differentiable); binary nodes expand a scalar success
-probability p into the two-column representation (1-p, p) that matches their
-one-hot encoding.  The model owns the interventional :class:`Pair`: which
-rows a mode's contrast covers, and their critic context.
+deterministic); binary nodes expand a scalar success probability p into the
+two-column representation (1-p, p) that matches their one-hot encoding.  The
+model owns the interventional :class:`Pair`: which rows a mode's contrast
+covers, and their critic context.
+
+The fit is teacher-forced, so its loss is a sum of independent per-node
+losses, each with its sub-network's gradient from :func:`nn.mlp_backward`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Tensor, concat, no_grad
+from .autodiff import Tensor
 from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
 from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
 from .nn import (
@@ -28,6 +31,8 @@ from .nn import (
     gradient_penalty,
     layer_sizes,
     load_params,
+    mlp_activations,
+    mlp_backward,
     mlp_forward,
     save_params,
 )
@@ -91,11 +96,11 @@ class StructuredModel:
                         f"but the data has {observed}"
                     )
 
-        descendants = graph.descendants(graph.sensitive)
+        self._descendants = graph.descendants(graph.sensitive)
         for name in self.critic_context_nodes:
             if name not in {s.name for s in graph.nodes}:
                 raise ModelError(f"critic context names unknown node {name!r}")
-            if name == graph.sensitive or name in descendants:
+            if name == graph.sensitive or name in self._descendants:
                 raise ModelError(
                     f"critic context node {name!r} must not depend on the "
                     "sensitive node"
@@ -109,14 +114,11 @@ class StructuredModel:
             in_width = sum(encoder.block_width(p) for p in graph.parents(name))
             _, out_width = self._head(name)
             self.params.add_group(name, layer_sizes(in_width, hidden, out_width))
-        context_width = sum(
-            encoder.block_width(n) for n in self.critic_context_nodes
-        )
+        context_width = sum(encoder.block_width(n) for n in self.critic_context_nodes)
         self.params.add_group(
             "critic", layer_sizes(1 + context_width, critic_hidden, 1), zero_final=True
         )
 
-        self._descendants = graph.descendants(graph.sensitive)
         # the clamped cascades run only what the outcome can depend on
         self._outcome_ancestry = graph.outcome_ancestry()
         # encoded columns of each sub-network's parents, in parent order
@@ -138,48 +140,41 @@ class StructuredModel:
 
     # -- block plumbing ------------------------------------------------------
 
-    def _observed_block(self, x: np.ndarray, name: str) -> Tensor:
-        return Tensor(x[:, self.encoder.block(name)])
+    def _observed_block(self, x: np.ndarray, name: str) -> np.ndarray:
+        return x[:, self.encoder.block(name)]
 
-    def _parent_input(self, values: dict[str, Tensor], name: str) -> Tensor:
-        return concat([values[p] for p in self.graph.parents(name)])
+    @staticmethod
+    def _join(blocks: list[np.ndarray]) -> np.ndarray:
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
-    def _node_output(self, name: str, inputs: Tensor) -> Tensor:
+    def _node_output(self, name: str, inputs: np.ndarray) -> np.ndarray:
         head, _ = self._head(name)
         return mlp_forward(self.params.group(name), inputs, head)
 
-    def _block_repr(self, name: str, output: Tensor) -> Tensor:
+    def _block_repr(self, name: str, output: np.ndarray) -> np.ndarray:
         """Sub-network output in the node's encoded-block representation."""
         spec = self.graph.node(name)
         if spec.kind == CONTINUOUS or not spec.is_binary:
             return output
-        return concat([1.0 - output, output])
+        return np.concatenate([1.0 - output, output], axis=1)
 
     @staticmethod
-    def _clamped_block(rows: int, s_value: float) -> Tensor:
-        block = np.zeros((rows, 2))
-        block[:, 0] = 1.0 - s_value
-        block[:, 1] = s_value
-        return Tensor(block)
+    def _clamped_block(rows: int, s_value: float) -> np.ndarray:
+        return np.tile([1.0 - s_value, s_value], (rows, 1))
 
     # -- observational view ----------------------------------------------------
 
-    def _observational_values(self, x: np.ndarray) -> dict[str, Tensor]:
-        """Per-node predictions, teacher-forced on the observed parents."""
-        predictions: dict[str, Tensor] = {}
-        for name in self.sub_network_nodes:
-            inputs = Tensor(x[:, self._parent_columns[name]])
-            predictions[name] = self._block_repr(name, self._node_output(name, inputs))
-        return predictions
-
     def predict_observed(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-node predictions from observed parents (inference only)."""
-        with no_grad():
-            return {k: v.data for k, v in self._observational_values(x).items()}
+        """Per-node predictions, teacher-forced on the observed parents."""
+        return {
+            name: self._block_repr(name, self._node_output(name, x[:, columns]))
+            for name, columns in self._parent_columns.items()
+        }
 
     def fit_loss(self, x: np.ndarray, weights: np.ndarray) -> Tensor:
         """Weighted per-node fit: squared error for continuous nodes,
-        cross entropy for categorical ones; mean over the batch."""
+        cross entropy for categorical ones; mean over the batch.  The loss
+        holds its gradient for every sub-network parameter."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (x.shape[0],):
             raise ModelError(
@@ -187,52 +182,67 @@ class StructuredModel:
             )
         if np.any(weights < 0):
             raise ModelError("negative sample weight in batch")
-        predictions = self._observational_values(x)
-        per_row: Tensor | None = None
-        for name, pred in predictions.items():
-            spec = self.graph.node(name)
-            target = self._observed_block(x, name)
-            if spec.kind == CONTINUOUS:
-                term = (pred - target) ** 2
-            else:
-                term = -(target * (pred + EPS).log()).sum(axis=1, keepdims=True)
-            per_row = term if per_row is None else per_row + term
-        if per_row is None:
+        if not self.sub_network_nodes:
             raise ModelError("graph has no non-root nodes to fit")
-        w_col = Tensor(weights.reshape(-1, 1))
-        return (w_col * per_row).mean()
+        w_col = weights.reshape(-1, 1)
+        scale = 1.0 / float(x.shape[0])
+        g_row = scale * w_col  # the loss's gradient at each row's node term
+        per_row = None
+        grads: dict[int, np.ndarray] = {}
+        for name, columns in self._parent_columns.items():
+            layers = self.params.group(name)
+            head, _ = self._head(name)
+            hs, out = mlp_activations(layers, x[:, columns], head)
+            term, grad_out = self._fit_term(name, out, self._observed_block(x, name), g_row)
+            per_row = term if per_row is None else per_row + term
+            params = [p for layer in layers for p in layer]
+            grads.update(zip(map(id, params), mlp_backward(layers, hs, out, head, grad_out)))
+        return Tensor((w_col * per_row).sum() * scale, grads)
+
+    def _fit_term(self, name: str, out, target, g_row) -> tuple[np.ndarray, np.ndarray]:
+        """A node's per-row fit term and its gradient at the sub-network's
+        output, given the gradient ``g_row`` at the term."""
+        spec = self.graph.node(name)
+        if spec.kind == CONTINUOUS:
+            diff = out - target
+            return diff**2.0, g_row * diff * 2.0
+        shifted = self._block_repr(name, out) + EPS
+        term = -(target * np.log(shifted)).sum(axis=1, keepdims=True)
+        grad = (-g_row) * target / shifted
+        if spec.is_binary:  # the block is (1 - out, out)
+            grad = grad[:, 1:2] - grad[:, 0:1]
+        return term, grad
 
     # -- interventional view -----------------------------------------------------
 
     def _interventional_values(
         self, x: np.ndarray, s_value: float
-    ) -> dict[str, Tensor]:
+    ) -> dict[str, np.ndarray]:
         """Ancestral cascade over the outcome's ancestors: sensitive clamped,
         its descendants propagated, everything else observed."""
-        values: dict[str, Tensor] = {}
+        values: dict[str, np.ndarray] = {}
         for name in self._outcome_ancestry:
             if name == self.graph.sensitive:
                 values[name] = self._clamped_block(x.shape[0], s_value)
             elif name in self._descendants:
-                inputs = self._parent_input(values, name)
+                inputs = self._join([values[p] for p in self.graph.parents(name)])
                 values[name] = self._block_repr(name, self._node_output(name, inputs))
             else:
                 values[name] = self._observed_block(x, name)
         return values
 
-    def _outcome_probability(self, values: dict[str, Tensor]) -> np.ndarray:
-        return values[self.graph.outcome].data[:, 1].copy()
+    def _outcome_probability(self, values: dict[str, np.ndarray]) -> np.ndarray:
+        return values[self.graph.outcome][:, 1].copy()
 
     def intervene_total(self, x: np.ndarray, s: int) -> np.ndarray:
         """Outcome probability per row under clamping the sensitive node to s."""
         self._check_s(s)
-        with no_grad():
-            return self._outcome_probability(self._interventional_values(x, float(s)))
+        return self._outcome_probability(self._interventional_values(x, float(s)))
 
     def intervene_path_specific(self, x: np.ndarray, s: int) -> np.ndarray:
         """Outcome probability with the intervention routed along pi edges only.
 
-        Two synchronized passes share the tape-free cascade: the reference pass
+        Two synchronized passes share the cascade: the reference pass
         clamps the sensitive node to 0 everywhere; the interventional pass
         recomputes just the nodes on selected paths, picking, per in-edge,
         the interventional parent value when the edge carries the intervention
@@ -248,25 +258,22 @@ class StructuredModel:
             raise ModelError(f"model mode is {self.mode.mode!r}, not path_specific")
         if not self.mode.on_pi_edges:
             raise ModelError("path_specific mode with empty edge set")
-        with no_grad():
-            reference = self._interventional_values(x, 0.0)
-            inter: dict[str, Tensor] = {}
-            for name in self._outcome_ancestry:
-                if name == self.graph.sensitive:
-                    inter[name] = self._clamped_block(x.shape[0], float(s))
-                elif name in self._pi_active:
-                    inputs = concat(
-                        [
-                            inter[p]
-                            if (p, name) in self.mode.on_pi_edges
-                            else reference[p]
-                            for p in self.graph.parents(name)
-                        ]
-                    )
-                    inter[name] = self._block_repr(name, self._node_output(name, inputs))
-                else:
-                    inter[name] = reference[name]
-            return self._outcome_probability(inter), self._outcome_probability(reference)
+        reference = self._interventional_values(x, 0.0)
+        inter: dict[str, np.ndarray] = {}
+        for name in self._outcome_ancestry:
+            if name == self.graph.sensitive:
+                inter[name] = self._clamped_block(x.shape[0], float(s))
+            elif name in self._pi_active:
+                inputs = self._join(
+                    [
+                        inter[p] if (p, name) in self.mode.on_pi_edges else reference[p]
+                        for p in self.graph.parents(name)
+                    ]
+                )
+                inter[name] = self._block_repr(name, self._node_output(name, inputs))
+            else:
+                inter[name] = reference[name]
+        return self._outcome_probability(inter), self._outcome_probability(reference)
 
     def pair_mask(self, ds: ColumnarDataset) -> np.ndarray | None:
         """Rows of ``ds`` that the interventional pair covers: all (None)
@@ -319,14 +326,12 @@ class StructuredModel:
         blocks = [x[:, self.encoder.block(n)] for n in self.critic_context_nodes]
         return np.concatenate(blocks, axis=1)
 
-    def critic_value(self, y, context: np.ndarray | None = None) -> Tensor:
-        """Unbounded scalar critic of the outcome probability (recorded)."""
-        inputs = Tensor(self._critic_input(y, context))
-        return mlp_forward(self.params.group("critic"), inputs, "linear")
+    def critic_value(self, y, context: np.ndarray | None = None) -> np.ndarray:
+        """Unbounded scalar critic of the outcome probability, one column."""
+        return mlp_forward(self.params.group("critic"), self._critic_input(y, context), "linear")
 
     def critic_values(self, y: np.ndarray, context: np.ndarray | None = None) -> np.ndarray:
-        with no_grad():
-            return self.critic_value(y, context).data[:, 0].copy()
+        return self.critic_value(y, context)[:, 0].copy()
 
     def _penalty_input(self, y_plus, y_minus, rng, context) -> np.ndarray:
         """x_hat: the paired outcomes mixed by one uniform draw per row."""
@@ -341,12 +346,14 @@ class StructuredModel:
         x_hat = self._penalty_input(y_plus, y_minus, rng, context)
         return gradient_penalty(self.params.group("critic"), x_hat)
 
-    def critic_loss(self, pair: Pair, coef, rng, penalty_coef: float):
+    def critic_loss(self, pair: Pair, coef, rng, penalty_coef: float, scratch=None):
         """:func:`nn.critic_loss` on ``pair``, its penalty at the interpolates
         of :meth:`gradient_penalty` (drawn from ``rng`` the same way)."""
         x_hat = self._penalty_input(pair.y_plus, pair.y_minus, rng, pair.context)
         high, low = (self._critic_input(y, pair.context) for y in pair[:2])
-        return critic_loss(self.params.group("critic"), high, low, coef, x_hat, penalty_coef)
+        return critic_loss(
+            self.params.group("critic"), high, low, coef, x_hat, penalty_coef, scratch
+        )
 
     # -- persistence ------------------------------------------------------------
 

@@ -1,11 +1,13 @@
-"""Dense feed-forward building blocks on top of the autodiff engine.
+"""Dense feed-forward nets (tanh hidden layers; linear, logistic or softmax
+head) on plain float64 arrays, with closed-form gradients.
 
 Parameters live in a :class:`ParamStore` as named groups, one group per
 sub-network, so two network views can evaluate the same group and stay
-synchronized by construction.  A critic's loss, its weighted gap and gradient
-penalty, is one tape node with a closed-form parameter gradient
-(:func:`critic_loss`).  Updates are plain momentum SGD or Adam, and the
-learning-rate schedule decays polynomially with training progress.
+synchronized by construction.  :func:`mlp_backward` turns a loss's gradient
+at the head into parameter gradients; :func:`critic_loss` is a critic's whole
+loss with its gradient, its row-sized arrays taken from a :class:`Scratch`.
+Updates are plain momentum SGD or Adam, and the learning-rate schedule decays
+polynomially with training progress.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, _matmul, affine
+from .autodiff import Tensor
 
 HEADS = ("linear", "logistic", "softmax")
 
@@ -91,41 +93,114 @@ def layer_sizes(
     return list(zip(widths, widths[1:]))
 
 
-def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, head: str) -> Tensor:
-    """Run a batch through tanh hidden layers and the requested output head."""
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``; at inner dimension 1 the exact outer product ``a * b``,
+    which BLAS computes several times slower than a wider product."""
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class Scratch:
+    """Row-sized work arrays that repeated passes write into instead of
+    allocating: one buffer per key, at least ``rows`` deep, handed out as a
+    view of its leading rows.  A fresh ``Scratch()`` allocates exact sizes."""
+
+    def __init__(self, rows: int = 0):
+        self.rows = rows
+        self._buffers: dict = {}
+
+    def take(self, key, rows: int, width: int) -> np.ndarray:
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.shape[0] < rows or buffer.shape[1] != width:
+            buffer = self._buffers[key] = np.empty((max(rows, self.rows), width))
+        return buffer[:rows]
+
+
+def mlp_activations(
+    layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: str
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The tanh activations h_0 = x, ..., h_{L-1} of a batch and the output of
+    the requested head, as :func:`mlp_backward` takes them."""
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
-    h = x
-    for weight, bias in layers[:-1]:
-        h = affine(h, weight, bias).tanh()
-    z = affine(h, *layers[-1])
+    weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
+    hs = _forward(weights, biases, x, Scratch())
+    z = _matmul(hs[-1], weights[-1]) + biases[-1]
     if head == "linear":
-        return z
+        return hs, z
     if head == "logistic":
-        return z.sigmoid()
-    return z.softmax(axis=1)
+        return hs, _stable_sigmoid(z)
+    z = np.exp(z - z.max(axis=1, keepdims=True))
+    return hs, z / z.sum(axis=1, keepdims=True)
 
 
-def _forward(weights, biases, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Activations h_0 = x, h_l = tanh(h_{l-1} W_l + b_l) (l < L), slopes 1 - h_l^2."""
+def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: str) -> np.ndarray:
+    """Run a batch through tanh hidden layers and the requested output head."""
+    return mlp_activations(layers, x, head)[1]
+
+
+def mlp_backward(layers, hs, out, head: str, grad_out: np.ndarray) -> list[np.ndarray]:
+    """Gradients W_1, b_1, ..., W_L, b_L of a loss whose gradient at the head
+    output ``out`` of :func:`mlp_activations` (with activations ``hs``) is
+    ``grad_out``: through the head, then one backward sweep."""
+    weights = [w.data for w, _ in layers]
+    if head == "logistic":
+        grad_out = grad_out * out * (1.0 - out)
+    elif head == "softmax":
+        grad_out = out * (grad_out - (grad_out * out).sum(axis=1, keepdims=True))
+    grad_w = [np.zeros_like(w) for w in weights[:-1]] + [_matmul(hs[-1].T, grad_out)]
+    grad_b = [np.zeros_like(b.data) for _, b in layers[:-1]] + [grad_out.sum(axis=0)]
+    if len(hs) > 1:
+        scratch = Scratch()
+        g = _matmul(grad_out, weights[-1].T)
+        _sweep(weights, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
+    return [g for pair in zip(grad_w, grad_b) for g in pair]
+
+
+def _forward(weights, biases, x, scratch: Scratch) -> list[np.ndarray]:
+    """Activations h_0 = x and h_l = tanh(h_{l-1} W_l + b_l), l < L."""
     hs = [np.asarray(x, dtype=np.float64)]
-    for weight, bias in zip(weights[:-1], biases[:-1]):
-        hs.append(np.tanh(_matmul(hs[-1], weight) + bias))
-    return hs, [None] + [1.0 - h * h for h in hs[1:]]
+    for l, (weight, bias) in enumerate(zip(weights[:-1], biases[:-1]), 1):
+        h = _matmul(hs[-1], weight, out=scratch.take(("h", l), len(hs[0]), weight.shape[1]))
+        np.add(h, bias, out=h)
+        hs.append(np.tanh(h, out=h))
+    return hs
 
 
-def _sweep(weights, hs, slopes, g, inject, grad_w, grad_b) -> None:
+def _slopes(hs, scratch: Scratch) -> list[np.ndarray | None]:
+    """The tanh slopes 1 - h_l^2 of the activations ``hs`` (None at h_0)."""
+    slopes = [None]
+    for l, h in enumerate(hs[1:], 1):
+        s = np.multiply(h, h, out=scratch.take(("s", l), *h.shape))
+        slopes.append(np.subtract(1.0, s, out=s))
+    return slopes
+
+
+def _sweep(weights, hs, slopes, g, inject, grad_w, grad_b, scratch: Scratch) -> None:
     """Adds the gradients of W_l and b_l, l < L, through the forward ``hs`` to
     ``grad_w`` and ``grad_b``, from ``g`` at h_{L-1} plus ``inject[l]`` at h_l."""
     for l in range(len(hs) - 1, 0, -1):
-        a = (g if inject is None else g + inject[l]) * slopes[l]
+        a = scratch.take(("a", l), *hs[l].shape)
+        if inject is not None:
+            g = np.add(g, inject[l], out=a)
+        np.multiply(g, slopes[l], out=a)
         grad_w[l - 1] += hs[l - 1].T @ a
         grad_b[l - 1] += a.sum(axis=0)
         if l > 1:
-            g = a @ weights[l - 1].T
+            g = np.matmul(a, weights[l - 1].T, out=scratch.take(("g", l - 1), *hs[l - 1].shape))
 
 
-def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b) -> float:
+def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b, scratch: Scratch) -> float:
     """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of x_hat = h_0;
     adds ``scale`` times its parameter gradient to ``grad_w`` and ``grad_b``.
 
@@ -149,54 +224,64 @@ def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b) -> float:
     r = [None] * depth + [np.broadcast_to(weights[-1][:, 0], (rows, weights[-1].shape[0]))]
     rho = [None] * (depth + 1)
     for l in range(depth, 0, -1):
-        rho[l] = r[l] * slopes[l]
-        r[l - 1] = rho[l] @ weights[l - 1].T
+        rho[l] = np.multiply(r[l], slopes[l], out=scratch.take(("rho", l), *hs[l].shape))
+        r[l - 1] = scratch.take(("r", l - 1), *hs[l - 1].shape)
+        np.matmul(rho[l], weights[l - 1].T, out=r[l - 1])
     norm = np.sqrt((r[0] * r[0]).sum(axis=1, keepdims=True) + 1e-24)
     value = ((norm - 1.0) ** 2.0).sum() * (1.0 / float(rows))
     inject = [None] * (depth + 1)
     big_r = (scale * 2.0 / rows) * (norm - 1.0) / norm * r[0]
     for l in range(1, depth + 1):
         grad_w[l - 1] += big_r.T @ rho[l]
-        q = big_r @ weights[l - 1]
-        inject[l] = -2.0 * q * r[l] * hs[l]
-        big_r = q * slopes[l]
+        q = np.matmul(big_r, weights[l - 1], out=scratch.take(("q", l), *hs[l].shape))
+        inject[l] = np.multiply(-2.0, q, out=scratch.take(("inject", l), *hs[l].shape))
+        np.multiply(inject[l], r[l], out=inject[l])
+        np.multiply(inject[l], hs[l], out=inject[l])
+        big_r = np.multiply(q, slopes[l], out=q)
     grad_w[depth] += big_r.sum(axis=0).reshape(-1, 1)
-    _sweep(weights, hs, slopes, 0.0, inject, grad_w, grad_b)
+    _sweep(weights, hs, slopes, 0.0, inject, grad_w, grad_b, scratch)
     return float(value)
 
 
 def gradient_penalty(layers: Sequence[tuple[Tensor, Tensor]], x_hat: np.ndarray) -> Tensor:
     """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of ``x_hat``: the
-    loss of :func:`critic_loss` with no objective rows.  The value equals
-    double backpropagation through the tape, bit for bit."""
+    loss of :func:`critic_loss` with no objective rows."""
     none = np.empty((0, np.shape(x_hat)[1]))
     return critic_loss(layers, none, none, 0.0, x_hat, 1.0)[0]
 
 
-def critic_loss(layers, x_high, x_low, coef, x_hat, penalty_coef) -> tuple[Tensor, float, float]:
-    """A critic's training loss as one tape node with a closed-form parameter
-    gradient, and the objective and penalty it is made of: the objective is
+def critic_loss(
+    layers, x_high, x_low, coef, x_hat, penalty_coef, scratch: Scratch | None = None
+) -> tuple[Tensor, float, float]:
+    """A critic's training loss with its closed-form parameter gradient, and
+    the objective and penalty it is made of: the objective is
     sum_i coef_i (C(x_high_i) - C(x_low_i)) (``coef`` a scalar or one value
     per row), the loss ``penalty_coef`` times the :func:`_penalty` at
     ``x_hat`` minus the objective.  Each input runs its own forward, and each
-    forward of the objective one backward sweep."""
+    forward of the objective one backward sweep.  The row-sized arrays of all
+    of them come from ``scratch`` (fresh ones when None)."""
+    scratch = Scratch() if scratch is None else scratch
     weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
     if weights[-1].shape[1] != 1:
         raise ValueError(f"the critic needs a head of width 1, got {weights[-1].shape[1]}")
     grad_w, grad_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
     objective = 0.0
     for x, sign in ((x_high, 1.0), (x_low, -1.0)):
-        hs, slopes = _forward(weights, biases, x)
+        hs = _forward(weights, biases, x, scratch)
         c = np.broadcast_to(np.reshape(coef, (-1, 1)), (hs[0].shape[0], 1))
         objective += sign * float((c * (_matmul(hs[-1], weights[-1]) + biases[-1])).sum())
         top = -sign * c  # the loss's gradient at the head's output
         grad_w[-1] += hs[-1].T @ top
         grad_b[-1] += top.sum(axis=0)
-        _sweep(weights, hs, slopes, top * weights[-1][:, 0], None, grad_w, grad_b)
-    penalty = _penalty(weights, *_forward(weights, biases, x_hat), penalty_coef, grad_w, grad_b)
-    grads = [gr for pair in zip(grad_w, grad_b) for gr in pair]
-    loss = Tensor(penalty_coef * penalty - objective, [p for layer in layers for p in layer],
-                  vjp=lambda g, out: tuple(g * gr for gr in grads))
+        if len(hs) > 1:
+            g = scratch.take(("g", len(hs) - 1), *hs[-1].shape)
+            np.multiply(top, weights[-1][:, 0], out=g)
+            _sweep(weights, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
+    hs = _forward(weights, biases, x_hat, scratch)
+    penalty = _penalty(weights, hs, _slopes(hs, scratch), penalty_coef, grad_w, grad_b, scratch)
+    params = [p for layer in layers for p in layer]
+    grads = [g for pair in zip(grad_w, grad_b) for g in pair]
+    loss = Tensor(penalty_coef * penalty - objective, dict(zip(map(id, params), grads)))
     return loss, objective, penalty
 
 
@@ -299,8 +384,8 @@ def load_params(path) -> tuple[ParamStore, dict]:
 def finite_difference(fn, params: Sequence[Tensor], step: float = 1e-5) -> list[np.ndarray]:
     """Central finite-difference gradient of scalar ``fn()`` in ``params``.
 
-    Used by tests as the independent oracle against analytic gradients; it
-    never touches the tape.
+    Used by tests as the independent oracle against the closed-form
+    gradients: it reads only the values of ``fn()``, a loss or a float.
     """
     def evaluate() -> float:
         value = fn()

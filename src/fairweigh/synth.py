@@ -302,6 +302,8 @@ def oracle_effect(
     counterfactual effects route the intervention along every path, which
     equals clamping the sensitive node.
     """
+    if n < 1:
+        raise GraphError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
     noise = _draw_noise(scm, n, rng)
     route = path_set if path_set.mode == "path_specific" else total_path_set(scm.graph)

@@ -9,8 +9,9 @@ epoch's weighted fit.
 After the fit steps the fit parameters stay frozen for the rest of the epoch,
 so the interventional pair is computed once over the full split: the
 refinement critic steps take their batches' rows from it, and the epoch's
-effect estimate reuses it with the solved weights.  A critic step is one
-closed-form loss (:meth:`StructuredModel.critic_loss`) and one Adam update.
+effect estimate reuses it with the solved weights.  Every loss holds its
+closed-form gradients; each loop of critic steps writes its row-sized arrays
+into one :class:`~fairweigh.nn.Scratch` sized by the batch.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .effects import (
 )
 from .graph import CausalGraph, PathSet
 from .model import Pair, StructuredModel
-from .nn import Adam, MomentumSGD, learning_rate
+from .nn import Adam, MomentumSGD, Scratch, learning_rate
 from .reweighter import SolverError, WeightVector, solve_weights
 
 __all__ = [
@@ -166,12 +167,12 @@ class _Loop:
         positions = positions[positions >= 0]
         return Pair(*(None if part is None else part[positions] for part in full))
 
-    def critic_step(self, pair: Pair) -> None:
+    def critic_step(self, pair: Pair, scratch: Scratch) -> None:
         if pair.rows.size == 0:
             return
         coef = self.weights[pair.rows] / pair.rows.size
         loss, self.last_critic_objective, self.last_penalty = self.model.critic_loss(
-            pair, coef, self.penalty_rng, self.config.penalty_coef
+            pair, coef, self.penalty_rng, self.config.penalty_coef, scratch
         )
         self.critic_opt.step(backward(loss, self.critic_params))
 
@@ -215,15 +216,19 @@ def train(
         started = time.perf_counter()
         losses: list[float] = []
         try:
+            scratch = Scratch(config.batch_size)  # one per loop of critic steps
             for i, idx in enumerate(_batches(ds.m, config.batch_size, loop.batch_rng)):
                 losses.append(loop.fit_step(idx))
                 if (i + 1) % config.fit_steps_per_critic_step == 0:
-                    loop.critic_step(loop.batch_pair(idx))
+                    loop.critic_step(loop.batch_pair(idx), scratch)
+            del scratch
             pair = loop.full_split_pair()
             loop.orient_critic(pair)
+            scratch = Scratch(config.batch_size)
             for _ in range(config.critic_steps_at_weight_solve):
                 idx = loop.refine_rng.choice(ds.m, size=config.batch_size, replace=False)
-                loop.critic_step(loop.refine_pair(pair, idx))
+                loop.critic_step(loop.refine_pair(pair, idx), scratch)
+            del scratch
             weight_vector = loop.solve_epoch_weights(pair)
         except (FloatingPointError, SolverError) as exc:
             model.params.restore(snapshot)

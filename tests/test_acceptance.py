@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairweigh.autodiff import Tensor, backward
+from fairweigh.autodiff import backward
 from fairweigh.cli import main as cli_main
 from fairweigh.data import Column, ColumnarDataset, Encoder
 from fairweigh.effects import (
@@ -172,20 +172,18 @@ outcome y
         critic_params = model.params.parameters(["critic"])
         y_plus = model.intervene_total(x, 1)
         y_minus = model.intervene_total(x, 0)
-        w_col = Tensor(sample_weights.reshape(-1, 1))
+        pair = Pair(y_plus, y_minus, np.arange(m), None)
 
         def fit_fn():
             return model.fit_loss(x, sample_weights)
 
-        def critic_fn():
-            gap = model.critic_value(y_plus) - model.critic_value(y_minus)
-            return (w_col * gap).mean()
+        def critic_fn():  # the weighted gap alone: no penalty
+            return model.critic_loss(pair, sample_weights / m, np.random.default_rng(i), 0.0)[0]
 
         def penalty_fn():
             return model.gradient_penalty(y_plus, y_minus, np.random.default_rng(i))
 
         def critic_loss_fn():  # the loss a critic step trains on
-            pair = Pair(y_plus, y_minus, np.arange(m), None)
             coef = sample_weights / m
             return model.critic_loss(pair, coef, np.random.default_rng(i), 10.0)[0]
 

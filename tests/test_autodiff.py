@@ -3,12 +3,19 @@ import gc
 import numpy as np
 import pytest
 
-from fairweigh.autodiff import Tensor, _matmul, affine, backward, concat, no_grad
+from fairweigh.autodiff import Tensor, backward
+from fairweigh.data import Column, ColumnarDataset, Encoder
+from fairweigh.graph import parse_graph, total_path_set
+from fairweigh.model import StructuredModel
 from fairweigh.nn import (
     ParamStore,
+    _matmul,
+    critic_loss,
     finite_difference,
     gradient_penalty,
     layer_sizes,
+    mlp_activations,
+    mlp_backward,
     mlp_forward,
 )
 
@@ -21,50 +28,56 @@ def random_net(seed, sizes=((3, 8), (8, 8), (8, 1))):
     return store
 
 
+def net_gradient(store, x, head, grad_at_out):
+    """mlp_backward of a loss whose gradient at the head output is
+    ``grad_at_out(out)``."""
+    layers = store.group("net")
+    hs, out = mlp_activations(layers, x, head)
+    return mlp_backward(layers, hs, out, head, grad_at_out(out))
+
+
 def test_forward_matches_straight_line_reference():
     store = random_net(0)
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, (5, 3))
-    out = mlp_forward(store.group("net"), Tensor(x), "linear")
+    out = mlp_forward(store.group("net"), x, "linear")
 
     h = x
     for w, b in [(p[0].data, p[1].data) for p in store.group("net")][:-1]:
         h = np.tanh(h @ w + b)
     w, b = store.group("net")[-1][0].data, store.group("net")[-1][1].data
     expected = h @ w + b
-    assert np.max(np.abs(out.data - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_linear_layer_gradient_is_summed_input():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, (4, 3))
-    w = Tensor(np.zeros((3, 1)))
-    loss = affine(Tensor(x), w, Tensor(np.zeros(1))).sum()
-    (grad,) = backward(loss, [w])
-    assert np.allclose(grad[:, 0], x.sum(axis=0))
+    store = random_net(2, sizes=((3, 1),))
+    grad_w, _ = net_gradient(store, x, "linear", np.ones_like)  # loss: sum of outputs
+    assert np.allclose(grad_w[:, 0], x.sum(axis=0))
 
 
 def test_constant_loss_has_zero_gradients():
     w = Tensor(np.ones((3, 2)))
-    loss = Tensor(np.zeros(())) + 5.0
-    (grad,) = backward(loss, [w])
+    (grad,) = backward(Tensor(5.0), [w])
     assert np.all(grad == 0.0)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_gradients_match_finite_differences(seed):
+    """Mean binary cross entropy through a logistic head."""
     store = random_net(seed, sizes=((3, 6), (6, 4), (4, 1)))
     rng = np.random.default_rng(seed + 100)
-    x = Tensor(rng.uniform(-1, 1, (5, 3)))
-    y = Tensor(rng.uniform(0, 1, (5, 1)))
-    params = store.parameters()
+    x = rng.uniform(-1, 1, (5, 3))
+    y = rng.uniform(0, 1, (5, 1))
 
     def loss_fn():
         p = mlp_forward(store.group("net"), x, "logistic")
-        return -(y * (p + 1e-12).log() + (1.0 - y) * (1.0 - p + 1e-12).log()).mean()
+        return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
 
-    grads = backward(loss_fn(), params)
-    reference = finite_difference(loss_fn, params)
+    grads = net_gradient(store, x, "logistic", lambda p: (p - y) / (p * (1.0 - p)) / 5.0)
+    reference = finite_difference(loss_fn, store.parameters())
     for g, r in zip(grads, reference):
         assert relative_error(g, r) < 1e-4
 
@@ -73,17 +86,15 @@ def test_softmax_concat_path_matches_finite_differences():
     store = ParamStore(5)
     store.add_group("net", [(4, 6), (6, 3)])
     rng = np.random.default_rng(6)
-    a = Tensor(rng.uniform(-1, 1, (5, 2)))
-    b = Tensor(rng.uniform(-1, 1, (5, 2)))
-    target = Tensor(np.eye(3)[rng.integers(0, 3, 5)])
-    params = store.parameters()
+    x = np.concatenate([rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (5, 2))], axis=1)
+    target = np.eye(3)[rng.integers(0, 3, 5)]
 
     def loss_fn():
-        p = mlp_forward(store.group("net"), concat([a, b]), "softmax")
-        return -(target * (p + 1e-12).log()).sum(axis=1).mean()
+        p = mlp_forward(store.group("net"), x, "softmax")
+        return -(target * np.log(p)).sum(axis=1).mean()
 
-    grads = backward(loss_fn(), params)
-    reference = finite_difference(loss_fn, params)
+    grads = net_gradient(store, x, "softmax", lambda p: -target / p / 5.0)
+    reference = finite_difference(loss_fn, store.parameters())
     for g, r in zip(grads, reference):
         assert relative_error(g, r) < 1e-4
 
@@ -119,7 +130,7 @@ def test_penalty_value_matches_finite_difference_input_gradient(sizes):
     x0 = np.random.default_rng(17).uniform(-1, 1, (6, sizes[0][0]))
 
     def critic(x):
-        return mlp_forward(store.group("net"), Tensor(x), "linear").data[:, 0]
+        return mlp_forward(store.group("net"), x, "linear")[:, 0]
 
     step = 1e-6
     grad_x = np.zeros_like(x0)
@@ -146,46 +157,20 @@ def test_matmul_at_inner_dimension_one_is_exact(shape):
     assert np.array_equal(_matmul(a, b), a @ b)
 
 
-def test_no_grad_produces_leaves():
-    store = random_net(13)
-    a = Tensor(np.full((2, 3), 0.5))
-    b = Tensor(np.full((3, 2), 2.0))
-    primitives = {
-        "add": lambda: a + 1.0,
-        "sub": lambda: a - 1.0,
-        "rsub": lambda: 1.0 - a,
-        "mul": lambda: a * 2.0,
-        "neg": lambda: -a,
-        "pow": lambda: a**2,
-        "affine": lambda: affine(a, b, Tensor(np.ones(2))),
-        "log": lambda: a.log(),
-        "tanh": lambda: a.tanh(),
-        "sigmoid": lambda: a.sigmoid(),
-        "softmax": lambda: a.softmax(axis=1),
-        "sum": lambda: a.sum(),
-        "mean": lambda: a.mean(axis=0),
-        "concat": lambda: concat([a, a]),
-        "mlp": lambda: mlp_forward(store.group("net"), Tensor(np.ones((2, 3))), "linear"),
-    }
-    with no_grad():
-        for name, make in primitives.items():
-            out = make()
-            assert out.parents == () and out._vjp is None, name
-
-
 def test_tape_is_freed_without_the_cycle_collector():
-    """A recorded forward, input-gradient penalty and backward leave no
-    reference cycle behind: every node is freed by reference counting."""
+    """Nothing records a computation any more: a forward, a backward and a
+    critic loss leave no reference cycle behind, so reference counting frees
+    every array they made."""
     store = random_net(14)
     x = np.random.default_rng(15).uniform(-1, 1, (6, 3))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        out = mlp_forward(store.group("net"), Tensor(x), "logistic")
-        loss = (out * out).mean() + gradient_penalty(store.group("net"), x)
+        grads = net_gradient(store, x, "logistic", lambda out: 2.0 * out / out.size)
+        loss = critic_loss(store.group("net"), x, x[::-1], 0.5, x, 10.0)[0]
         backward(loss, store.parameters())
-        del out, loss
+        del grads, loss
         assert gc.collect() == 0
     finally:
         if was_enabled:
@@ -193,46 +178,73 @@ def test_tape_is_freed_without_the_cycle_collector():
 
 
 def test_backward_returns_arrays_of_the_operand_shapes():
-    w = Tensor(np.full((3, 2), 0.5))
-    c = Tensor(np.array(2.0))
+    store = random_net(20, sizes=((3, 2), (2, 1)))
+    x = np.full((4, 3), 0.5)
+    loss = critic_loss(store.group("net"), x, 0.5 * x, 1.0, x, 1.0)[0]
     unused = Tensor(np.ones(4))
-    loss = (w * c).sum() + c
-    grads = backward(loss, [w, c, unused])
+    params = store.parameters()
+    grads = backward(loss, [*params, unused])
     assert all(type(g) is np.ndarray for g in grads)
-    assert [g.shape for g in grads] == [(3, 2), (), (4,)]
-    assert np.array_equal(grads[0], np.full((3, 2), 2.0))
-    assert grads[1] == 4.0 and not grads[2].any()
+    assert [g.shape for g in grads] == [(3, 2), (2,), (2, 1), (1,), (4,)]
+    assert not grads[-1].any()
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        backward(x + 1.0, [x])
+        backward(x, [x])
+
+
+BINARY_CHILD_DOC = """
+[nodes]
+a continuous
+s categorical 2
+y categorical 2
+[edges]
+a -> s
+a -> y
+s -> y
+[roles]
+sensitive s
+outcome y
+"""
 
 
 def test_shared_subexpression_accumulates_once_per_use():
-    # loss = sum(a*a + a) -> d/da = 2a + 1
-    a = Tensor(np.array([[1.0, -2.0]]))
-    loss = (a * a + a).sum()
-    (grad,) = backward(loss, [a])
-    assert np.allclose(grad, 2 * a.data + 1)
+    """A binary node's output p feeds both columns of its block (1 - p, p);
+    the fit gradient sums the two uses, once each."""
+    rng = np.random.default_rng(22)
+    m = 7
+    ds = ColumnarDataset(
+        [
+            Column("a", "continuous", rng.normal(size=m)),
+            Column("s", "categorical", np.array(list("0110100"))),
+            Column("y", "categorical", np.array(list("1001101"))),
+        ]
+    )
+    enc = Encoder().fit(ds)
+    graph = parse_graph(BINARY_CHILD_DOC)
+    model = StructuredModel(graph, enc, total_path_set(graph), seed=22, hidden=(3,))
+    x, weights = enc.transform(ds), rng.uniform(0.5, 1.5, m)
+    params = model.params.parameters(model.sub_network_nodes)
+    grads = backward(model.fit_loss(x, weights), params)
+    reference = finite_difference(lambda: model.fit_loss(x, weights), params)
+    for g, r in zip(grads, reference):
+        assert relative_error(g, r) < 1e-6
 
 
 def test_broadcast_bias_gradient_shape():
-    x = Tensor(np.ones((4, 3)))
-    b = Tensor(np.zeros(3))
-    loss = (x + b).sum()
-    (grad,) = backward(loss, [b])
-    assert grad.shape == (3,)
-    assert np.allclose(grad, 4.0)
+    store = random_net(23, sizes=((3, 3),))
+    (_, grad_b) = net_gradient(store, np.ones((4, 3)), "linear", np.ones_like)
+    assert grad_b.shape == (3,)
+    assert np.allclose(grad_b, 4.0)
 
 
 def test_determinism_across_runs():
     def run():
         store = random_net(21)
-        x = Tensor(np.linspace(-1, 1, 12).reshape(4, 3))
-        loss = (mlp_forward(store.group("net"), x, "logistic") ** 2).mean()
-        return backward(loss, store.parameters())
+        x = np.linspace(-1, 1, 12).reshape(4, 3)
+        return net_gradient(store, x, "logistic", lambda out: 2.0 * out / out.size)
 
     first = run()
     second = run()

@@ -285,6 +285,69 @@ def test_condition_value_must_be_a_level_of_its_node(workspace, tmp_path, capsys
     assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "source, condition, entry",
+    [
+        ("flag", "x2", "'x2'"),
+        ("config", "x2=1", "'x2=1'"),
+        ("config", [["x2"]], "['x2']"),
+        ("config", [["x2", "1", "extra"]], "['x2', '1', 'extra']"),
+        ("config", ["x2"], "'x2'"),
+    ],
+    ids=["flag-without-value", "config-string", "short-pair", "long-pair", "bare-node"],
+)
+def test_a_malformed_condition_exits_2_and_names_the_entry(
+    workspace, tmp_path, capsys, source, condition, entry
+):
+    """A ``--condition`` flag must read NODE=VALUE, and a config condition
+    must be a list of [node, value] pairs."""
+    if source == "flag":
+        args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "50",
+                "--out", str(tmp_path / "g.csv"), "--oracle-samples", "500"]
+        assert main(args + ["--condition", condition]) == 2
+        assert not (tmp_path / "g.csv").exists()
+    else:
+        out = tmp_path / "run"
+        config = config_for(
+            workspace, "run_condition", out=str(out), mode="counterfactual", condition=condition
+        )
+        assert main(["reweigh", "--config", str(config)]) == 2
+        assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: condition") and entry in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_gen_synth_rejects_oracle_samples_below_one(workspace, tmp_path, capsys, samples):
+    args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "50",
+            "--out", str(tmp_path / "g.csv"), "--oracle-samples", samples]
+    assert main(args) == 2
+    assert "sample count must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("repeats", 0), ("repeats", "x"), ("repeats", 1.5), ("tau", "abc"), ("tau", True),
+     ("tau", -0.1), ("train_fraction", 1.0), ("wasserstein_steps", 0)],
+)
+def test_a_bad_run_config_number_exits_2_and_names_its_field(
+    workspace, tmp_path, capsys, field, value
+):
+    out = tmp_path / "run"
+    config = config_for(workspace, "run_numbers", out=str(out), **{field: value})
+    for command in ("reweigh", "effects", "evaluate"):
+        assert main([command, "--config", str(config)]) == 2
+        assert f"configuration error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bad_repeats_override_exits_2(workspace, capsys):
+    config = config_for(workspace, "run_repeats_flag")
+    assert main(["reweigh", "--config", str(config), "--repeats", "0"]) == 2
+    assert "repeats must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
 def test_gen_synth_rejects_a_non_numeric_noise_std(workspace, tmp_path, capsys):
     doc = benchmark_document().replace("x1 = normal(0, 1)", "x1 = normal(0, abc)")
     (tmp_path / "scm.txt").write_text(doc, encoding="utf-8")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairweigh import model as model_module
-from fairweigh.autodiff import Tensor, backward, concat, no_grad
+from fairweigh.autodiff import Tensor, backward
 from fairweigh.data import Column, ColumnarDataset, Encoder
 from fairweigh.graph import (
     PathSet,
@@ -12,7 +12,7 @@ from fairweigh.graph import (
     pi_active_nodes,
     total_path_set,
 )
-from fairweigh.model import ModelError, StructuredModel, condition_mask
+from fairweigh.model import ModelError, Pair, StructuredModel, condition_mask
 from fairweigh.nn import Adam, finite_difference
 from fairweigh.synth import generate, parse_scm
 
@@ -239,8 +239,8 @@ def test_linear_critic_value():
     store = ParamStore(0)
     store.add_group("lin", [(1, 1)])
     store.group("lin")[0][0].data = np.array([[3.0]])
-    out = mlp_forward(store.group("lin"), Tensor(np.array([[0.2]])), "linear")
-    assert np.allclose(out.data, 0.6)
+    out = mlp_forward(store.group("lin"), np.array([[0.2]]), "linear")
+    assert np.allclose(out, 0.6)
 
 
 def test_gradient_penalty_of_identity_and_doubled_critic():
@@ -276,21 +276,8 @@ def test_gradient_penalty_parameter_gradient_matches_fd(bench_small):
         assert relative_error(g, r) < 1e-4
 
 
-def test_backward_builds_no_tensor(bench_small, monkeypatch):
-    """Gradients are plain arrays: differentiating a fit loss and a critic
-    loss constructs no Tensor."""
-    scm, ds, enc, _ = bench_small
-    model = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=23)
-    x = enc.transform(ds)[:64]
-    weights = np.linspace(0.5, 1.5, 64)
-    y_plus, y_minus, _, _ = model.interventional_pair(x)
-    gap = model.critic_value(y_plus) - model.critic_value(y_minus)
-    penalty = model.gradient_penalty(y_plus, y_minus, np.random.default_rng(2))
-    critic_loss = -(Tensor(weights.reshape(-1, 1)) * gap).mean() + 10.0 * penalty
-    losses = {
-        "fit": (model.fit_loss(x, weights), model.params.parameters(model.sub_network_nodes)),
-        "critic": (critic_loss, model.params.parameters(["critic"])),
-    }
+def count_tensors(monkeypatch) -> list:
+    """A list that grows by one for every Tensor built from now on."""
     built = []
     original = Tensor.__init__
 
@@ -299,10 +286,27 @@ def test_backward_builds_no_tensor(bench_small, monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Tensor, "__init__", counted)
+    return built
+
+
+def test_backward_builds_no_tensor(bench_small, monkeypatch):
+    """Gradients are plain arrays: differentiating a fit loss and a critic
+    loss constructs no Tensor."""
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=23)
+    x = enc.transform(ds)[:64]
+    weights = np.linspace(0.5, 1.5, 64)
+    pair = model.interventional_pair(x)
+    critic_loss, _, _ = model.critic_loss(pair, weights / 64, np.random.default_rng(2), 10.0)
+    losses = {
+        "fit": (model.fit_loss(x, weights), model.params.parameters(model.sub_network_nodes)),
+        "critic": (critic_loss, model.params.parameters(["critic"])),
+    }
+    built = count_tensors(monkeypatch)
     for name, (loss, params) in losses.items():
         grads = backward(loss, params)
         assert all(isinstance(g, np.ndarray) for g in grads), name
-        assert [g.shape for g in grads] == [p.shape for p in params], name
+        assert [g.shape for g in grads] == [p.data.shape for p in params], name
         assert built == [], name
 
 
@@ -314,11 +318,9 @@ def test_critic_learns_to_separate_clusters():
     params = model.params.parameters(["critic"])
     opt = Adam(params, lr=1e-2)
     gp_rng = np.random.default_rng(5)
+    pair = Pair(high, low, np.arange(256), None)
     for _ in range(200):
-        v_high = model.critic_value(high)
-        v_low = model.critic_value(low)
-        objective = (v_high - v_low).mean()
-        loss = -objective + 10.0 * model.gradient_penalty(high, low, gp_rng)
+        loss, _, _ = model.critic_loss(pair, 1.0 / 256, gp_rng, 10.0)
         opt.step(backward(loss, params))
     gap = model.critic_values(high).mean() - model.critic_values(low).mean()
     assert gap >= 0.5
@@ -509,7 +511,7 @@ def full_descendant_pair(model, x):
     descendants = graph.descendants(graph.sensitive)
 
     def recompute(values, name, inputs):
-        values[name] = model._block_repr(name, model._node_output(name, concat(inputs)))
+        values[name] = model._block_repr(name, model._node_output(name, model._join(inputs)))
 
     def clamped(s_value):
         values = {}
@@ -519,30 +521,29 @@ def full_descendant_pair(model, x):
             elif name in descendants:
                 recompute(values, name, [values[p] for p in graph.parents(name)])
             else:
-                values[name] = Tensor(x[:, model.encoder.block(name)])
+                values[name] = x[:, model.encoder.block(name)]
         return values
 
     def outcome(values):
-        return values[graph.outcome].data[:, 1]
+        return values[graph.outcome][:, 1]
 
-    with no_grad():
-        if model.mode.mode == "total":
-            return outcome(clamped(1.0)), outcome(clamped(0.0))
-        reference = clamped(0.0)
-        active = pi_active_nodes(graph, model.mode)
-        inter = {}
-        for name in graph.topo_order:
-            if name == graph.sensitive:
-                inter[name] = model._clamped_block(x.shape[0], 1.0)
-            elif name in active:
-                inputs = [
-                    inter[p] if (p, name) in model.mode.on_pi_edges else reference[p]
-                    for p in graph.parents(name)
-                ]
-                recompute(inter, name, inputs)
-            else:
-                inter[name] = reference[name]
-        return outcome(inter), outcome(reference)
+    if model.mode.mode == "total":
+        return outcome(clamped(1.0)), outcome(clamped(0.0))
+    reference = clamped(0.0)
+    active = pi_active_nodes(graph, model.mode)
+    inter = {}
+    for name in graph.topo_order:
+        if name == graph.sensitive:
+            inter[name] = model._clamped_block(x.shape[0], 1.0)
+        elif name in active:
+            inputs = [
+                inter[p] if (p, name) in model.mode.on_pi_edges else reference[p]
+                for p in graph.parents(name)
+            ]
+            recompute(inter, name, inputs)
+        else:
+            inter[name] = reference[name]
+    return outcome(inter), outcome(reference)
 
 
 @pytest.mark.parametrize("mode", ["path_specific", "total"])
@@ -570,3 +571,19 @@ def test_clamped_cascade_runs_only_the_outcome_ancestors(bench_small, monkeypatc
     monkeypatch.setattr(model_module, "mlp_forward", counted)
     model.intervene_total(enc.transform(ds), 1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", sorted(PAIR_MODES))
+def test_fit_loss_and_pair_build_at_most_one_tensor(bench_small, monkeypatch, mode):
+    """Nothing records a computation: the fit loss is the one Tensor its
+    step builds, and the interventional pair builds none."""
+    scm, ds, enc, _ = bench_small
+    model = StructuredModel(
+        scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=23, critic_context_nodes=("x1",)
+    )
+    x = enc.transform(ds)
+    built = count_tensors(monkeypatch)
+    model.fit_loss(x, np.ones(ds.m))
+    assert len(built) == 1
+    model.interventional_pair(x, model.pair_mask(ds))
+    assert len(built) == 1

@@ -29,8 +29,8 @@ def test_param_store_shapes_and_determinism():
 def test_zero_final_layer_outputs_zero():
     store = ParamStore(1)
     store.add_group("critic", [(1, 8), (8, 8), (8, 1)], zero_final=True)
-    out = mlp_forward(store.group("critic"), Tensor(np.linspace(0, 1, 7).reshape(-1, 1)), "linear")
-    assert np.all(out.data == 0.0)
+    out = mlp_forward(store.group("critic"), np.linspace(0, 1, 7).reshape(-1, 1), "linear")
+    assert np.all(out == 0.0)
 
 
 def test_duplicate_group_rejected():
@@ -43,16 +43,16 @@ def test_duplicate_group_rejected():
 def test_logistic_head_of_zero_net_is_half():
     store = ParamStore(3)
     store.add_group("g", [(4, 5), (5, 1)], zero_final=True)
-    out = mlp_forward(store.group("g"), Tensor(np.random.default_rng(0).normal(size=(9, 4))), "logistic")
-    assert np.allclose(out.data, 0.5)
+    out = mlp_forward(store.group("g"), np.random.default_rng(0).normal(size=(9, 4)), "logistic")
+    assert np.allclose(out, 0.5)
 
 
 def test_softmax_head_sums_to_one():
     store = ParamStore(4)
     store.add_group("g", [(3, 6), (6, 4)])
-    out = mlp_forward(store.group("g"), Tensor(np.random.default_rng(1).normal(size=(11, 3))), "softmax")
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(out.data >= 0.0)
+    out = mlp_forward(store.group("g"), np.random.default_rng(1).normal(size=(11, 3)), "softmax")
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(out >= 0.0)
 
 
 def test_momentum_sgd_closed_form():

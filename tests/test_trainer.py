@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from fairweigh.data import Column, ColumnarDataset, Encoder
 from fairweigh.effects import estimate_effect
 from fairweigh.graph import counterfactual_path_set, indirect_path_set, total_path_set
 from fairweigh.model import StructuredModel
-from fairweigh.nn import Adam
+from fairweigh.nn import Adam, Scratch
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_scm, generate, parse_scm
 from fairweigh.trainer import (
@@ -308,33 +309,56 @@ def test_refinement_batch_sliced_from_full_pair_matches_recomputation(mode):
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-def test_critic_step_logs_and_applies_the_loss_of_the_tape(mode):
-    """A critic step logs the objective and penalty that the tape composition
-    of its loss gives (two recorded critic forwards, the weighted gap and the
-    penalty at the same interpolates), and takes the Adam step of its
-    gradient."""
+def test_critic_step_logs_and_applies_its_loss(mode):
+    """A critic step logs the weighted gap of two plain critic forwards and
+    the penalty at the interpolates it draws, and takes the Adam step of the
+    gradient of its closed-form loss, weighting each row by weight / rows."""
     ds, enc, model, cfg = mode_setup(mode)
     train(model, ds, replace(cfg, epochs=1))  # non-trivial fit and critic parameters
     loop = _Loop(model, ds, cfg)
     loop.weights = np.random.default_rng(3).uniform(0.2, 2.0, ds.m)
     pair = loop.batch_pair(np.random.default_rng(4).choice(ds.m, cfg.batch_size, replace=False))
     params = model.params.parameters(["critic"])
-    gap = model.critic_value(pair.y_plus, pair.context) - model.critic_value(
+    gap = model.critic_values(pair.y_plus, pair.context) - model.critic_values(
         pair.y_minus, pair.context
     )
-    objective = (Tensor(loop.weights[pair.rows].reshape(-1, 1)) * gap).mean()
+    objective = float(np.mean(loop.weights[pair.rows] * gap))
     rng = copy.deepcopy(loop.penalty_rng)
-    penalty = model.gradient_penalty(pair.y_plus, pair.y_minus, rng, pair.context)
+    penalty = model.gradient_penalty(pair.y_plus, pair.y_minus, copy.deepcopy(rng), pair.context)
+    coef = loop.weights[pair.rows] / pair.rows.size
+    loss, _, _ = model.critic_loss(pair, coef, rng, cfg.penalty_coef)
     expected = [Tensor(p.data.copy()) for p in params]
-    Adam(expected, cfg.critic_lr).step(
-        backward(-objective + cfg.penalty_coef * penalty, params)
-    )
+    Adam(expected, cfg.critic_lr).step(backward(loss, params))
 
-    loop.critic_step(pair)
-    for logged, ref in ((loop.last_critic_objective, objective), (loop.last_penalty, penalty)):
-        assert abs(logged - float(ref.data)) <= 1e-12 * abs(float(ref.data))
+    loop.critic_step(pair, Scratch(cfg.batch_size))
+    assert abs(loop.last_critic_objective - objective) <= 1e-12 * abs(objective)
+    assert loop.last_penalty == float(penalty.data)
     for p, e in zip(params, expected):
-        np.testing.assert_allclose(p.data, e.data, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(p.data, e.data)
+
+
+def test_a_further_critic_step_allocates_under_a_megabyte():
+    """Critic steps write their row-sized arrays into the loop's scratch,
+    sized by the batch: after a first step, even one on fewer rows than the
+    batch of 640 as a counterfactual batch may hold, further steps on 640 rows
+    or fewer allocate less than 1 MB (about 4.3 MB when every step allocated
+    its own)."""
+    scm = benchmark_scm(seed=3)
+    ds = generate(scm, 1000)
+    model = StructuredModel(scm.graph, Encoder().fit(ds), total_path_set(scm.graph), seed=3)
+    loop = _Loop(model, ds, TrainConfig(seed=3))
+    full, part = loop.batch_pair(np.arange(640)), loop.batch_pair(np.arange(300))
+    scratch = Scratch(640)
+    tracemalloc.start()
+    try:
+        loop.critic_step(part, scratch)
+        for pair in (full, part, full):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loop.critic_step(pair, scratch)
+            assert tracemalloc.get_traced_memory()[1] - before < 1_000_000
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
