@@ -7,12 +7,12 @@ route between them.
 
 from fairweigh import (
     direct_path_set,
-    enumerate_paths,
     indirect_path_set,
     intervention_surgery,
     parse_graph,
     total_path_set,
 )
+from fairweigh.graph import pi_active_nodes
 
 DOC = """
 [nodes]
@@ -44,11 +44,12 @@ cut = intervention_surgery(graph)
 print("  before:", sorted(graph.edges))
 print("  after: ", sorted(cut.edges))
 
-print("\nEvery directed route from the sensitive node to the outcome:")
-for path in enumerate_paths(graph):
-    print("  " + " -> ".join([path[0][0]] + [child for _, child in path]))
-
-print("\nPath selections for the three fairness notions:")
-print("  total:        ", sorted(total_path_set(graph).on_pi_edges))
-print("  direct only:  ", sorted(direct_path_set(graph).on_pi_edges))
-print("  indirect only:", sorted(indirect_path_set(graph).on_pi_edges))
+print("\nPath selections for the three fairness notions: the edges that carry")
+print("the intervention, and the nodes on the selected sensitive-to-outcome paths:")
+for label, selection in (
+    ("total", total_path_set(graph)),
+    ("direct only", direct_path_set(graph)),
+    ("indirect only", indirect_path_set(graph)),
+):
+    print(f"  {label + ':':15}edges {sorted(selection.on_pi_edges)}")
+    print(f"  {'':15}nodes {sorted(pi_active_nodes(graph, selection))}")

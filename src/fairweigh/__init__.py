@@ -15,7 +15,6 @@ from .graph import (
     PathSet,
     counterfactual_path_set,
     direct_path_set,
-    enumerate_paths,
     graph_fingerprint,
     indirect_path_set,
     intervention_surgery,

@@ -3,7 +3,8 @@
 A run is driven by a JSON config document; command-line flags override single
 fields.  Every reweigh run writes a manifest capturing the fully resolved
 configuration plus content hashes, and feeding that manifest back through
-``--config`` reproduces the weight files byte for byte.
+``--config`` reproduces the weight files byte for byte on the same numpy and
+BLAS build with the same BLAS thread setting.
 
 Exit codes: 0 success and fair (|effect| < tau), 1 success but the effect
 exceeds tau, 2 configuration/input errors, 3 runtime failures.
@@ -298,6 +299,8 @@ def cmd_reweigh(args) -> int:
 
 
 def _read_weights(path, m: int) -> np.ndarray:
+    if not Path(path).is_file():
+        raise ConfigError(f"weights file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"index", "weight"} <= set(reader.fieldnames):
@@ -352,7 +355,12 @@ def cmd_effects(args) -> int:
         critic_context_nodes=tuple(config.get("critic_context_nodes", ())),
     )
     if args.checkpoint:
-        model.restore(args.checkpoint)
+        if not Path(args.checkpoint).is_file():
+            raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
+        try:
+            model.restore(args.checkpoint)
+        except ValueError as exc:  # unreadable, or written for another graph or layout
+            raise ConfigError(f"checkpoint {args.checkpoint}: {exc}") from None
     else:
         # fit without reweighting: a vanishing balance pins weights at one
         model, _, _ = train(model, ds, replace(train_config, balance=1e-9))

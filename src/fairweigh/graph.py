@@ -2,8 +2,10 @@
 
 The graph is immutable after construction and knows how to derive the
 structure needed by the interventional views: graph surgery (dropping the
-sensitive node's incoming edges), enumeration of directed sensitive-to-outcome
-paths, and edge sets for path-restricted interventions.
+sensitive node's incoming edges) and, for path-restricted interventions, which
+edges and nodes lie on the selected sensitive-to-outcome paths.  Every such
+query is a reachability walk, linear in the size of the graph; no path is ever
+listed, so the number of paths does not matter.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "parse_graph",
     "split_sections",
     "intervention_surgery",
-    "enumerate_paths",
     "total_path_set",
     "direct_path_set",
     "indirect_path_set",
@@ -28,9 +29,6 @@ __all__ = [
     "pi_active_nodes",
     "graph_fingerprint",
 ]
-
-MAX_PATHS = 10_000
-
 
 class GraphError(ValueError):
     """Structural problem in a graph document or derived path set."""
@@ -138,21 +136,12 @@ class CausalGraph:
         return tuple(n for n in self.topo_order if not self._parents[n])
 
     def descendants(self, name: str) -> frozenset[str]:
-        out: set[str] = set()
-        frontier = list(self._children[name])
-        while frontier:
-            node = frontier.pop()
-            if node not in out:
-                out.add(node)
-                frontier.extend(self._children[node])
-        return frozenset(out)
+        return _reach(self._children[name], self.children)
 
     def outcome_ancestry(self) -> tuple[str, ...]:
         """The outcome and every node it depends on, in topological order."""
-        return tuple(
-            n for n in self.topo_order
-            if n == self.outcome or self.outcome in self.descendants(n)
-        )
+        ancestry = _reach([self.outcome], self.parents)
+        return tuple(n for n in self.topo_order if n in ancestry)
 
     @property
     def has_effect_path(self) -> bool:
@@ -271,35 +260,26 @@ def intervention_surgery(g: CausalGraph) -> CausalGraph:
     return CausalGraph(g.nodes, kept, g.sensitive, g.outcome)
 
 
-def enumerate_paths(
-    g: CausalGraph, max_paths: int = MAX_PATHS
-) -> list[tuple[tuple[str, str], ...]]:
-    """All simple directed paths from the sensitive node to the outcome.
-
-    Each path is an edge sequence.  Order is deterministic: depth-first with
-    children visited by topological index.  Raises once ``max_paths`` is
-    exceeded to guard against pathological graphs.
-    """
-    paths: list[tuple[tuple[str, str], ...]] = []
-    trail: list[tuple[str, str]] = []
-
-    def visit(node: str) -> None:
-        if node == g.outcome:
-            if len(paths) >= max_paths:
-                raise GraphError(f"more than {max_paths} paths; aborting enumeration")
-            paths.append(tuple(trail))
-            return
-        for child in g.children(node):
-            trail.append((node, child))
-            visit(child)
-            trail.pop()
-
-    visit(g.sensitive)
-    return paths
+def _reach(starts, step) -> frozenset[str]:
+    """``starts`` and every node reached from them by repeated ``step(node)``."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for node in step(frontier.pop()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return frozenset(seen)
 
 
 def _all_path_edges(g: CausalGraph) -> frozenset[tuple[str, str]]:
-    return frozenset(edge for path in enumerate_paths(g) for edge in path)
+    """Edges on some sensitive-to-outcome path: in a DAG, ``(p, c)`` is on one
+    exactly when the sensitive node reaches ``p`` and ``c`` reaches the outcome."""
+    from_sensitive = _reach([g.sensitive], g.children)
+    to_outcome = _reach([g.outcome], g.parents)
+    return frozenset(
+        (p, c) for p, c in g.edges if p in from_sensitive and c in to_outcome
+    )
 
 
 def total_path_set(g: CausalGraph) -> PathSet:
@@ -319,18 +299,12 @@ def direct_path_set(g: CausalGraph) -> PathSet:
 
 def indirect_path_set(g: CausalGraph) -> PathSet:
     """Intervention along all paths except the direct edge."""
-    direct = (g.sensitive, g.outcome)
-    edges = set()
-    for path in enumerate_paths(g):
-        if path == (direct,):
-            continue
-        edges.update(path)
-    edges.discard(direct)
+    edges = _all_path_edges(g) - {(g.sensitive, g.outcome)}
     if not edges:
         raise GraphError(
             "no indirect path from sensitive to outcome; indirect effect undefined"
         )
-    return PathSet("path_specific", frozenset(edges))
+    return PathSet("path_specific", edges)
 
 
 def counterfactual_path_set(g: CausalGraph, condition, levels=None) -> PathSet:
@@ -374,15 +348,14 @@ def pi_active_nodes(g: CausalGraph, ps: PathSet) -> frozenset[str]:
     """Nodes lying on at least one selected path.
 
     A sensitive-to-outcome path is selected when every one of its edges is in
-    ``on_pi_edges``; a node is active when some selected path passes through it.
+    ``on_pi_edges``; a node is active when some selected path passes through it,
+    that is when the sensitive node reaches it, and it reaches the outcome,
+    along graph edges in ``on_pi_edges``.
     """
-    active: set[str] = set()
-    for path in enumerate_paths(g):
-        if all(edge in ps.on_pi_edges for edge in path):
-            active.add(g.sensitive)
-            for _, child in path:
-                active.add(child)
-    return frozenset(active)
+    pi = ps.on_pi_edges
+    reached = _reach([g.sensitive], lambda n: [c for c in g.children(n) if (n, c) in pi])
+    reaching = _reach([g.outcome], lambda n: [p for p in g.parents(n) if (p, n) in pi])
+    return reached & reaching
 
 
 def graph_fingerprint(g: CausalGraph) -> str:

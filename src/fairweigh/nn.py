@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +71,10 @@ class ParamStore:
         }
 
     def restore(self, snap: dict[str, list[np.ndarray]]) -> None:
+        missing = [name for name in self.groups if name not in snap]
+        if missing:
+            raise ValueError(f"snapshot lacks parameter group {missing[0]!r}")
+        pairs = []  # every array is checked before any parameter changes
         for name, arrays in snap.items():
             if name not in self.groups:
                 raise ValueError(f"snapshot has unknown parameter group {name!r}")
@@ -82,7 +87,9 @@ class ParamStore:
                         f"snapshot shape mismatch in group {name!r}: "
                         f"{arr.shape} vs {p.data.shape}"
                     )
-                p.data = arr.copy()
+            pairs.extend(zip(params, arrays))
+        for p, arr in pairs:
+            p.data = arr.copy()
 
 
 def layer_sizes(
@@ -367,18 +374,24 @@ def save_params(store: ParamStore, path, meta: dict | None = None) -> None:
 
 
 def load_params(path) -> tuple[ParamStore, dict]:
-    """Rebuild a ParamStore from :func:`save_params` output; returns metadata."""
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["__header__"]).decode("utf-8"))
-        store = ParamStore(seed=header["seed"])
-        for name, n_layers in header["layout"].items():
-            layers = []
-            for i in range(n_layers):
-                weight = Tensor(archive[f"{name}/{i}/W"])
-                bias = Tensor(archive[f"{name}/{i}/b"])
-                layers.append((weight, bias))
-            store.groups[name] = layers
-    return store, header["meta"]
+    """Rebuild a ParamStore from :func:`save_params` output; returns metadata.
+
+    Raises ``ValueError`` when ``path`` holds no such archive.
+    """
+    try:
+        with np.load(path) as archive:
+            header = json.loads(bytes(archive["__header__"]).decode("utf-8"))
+            store = ParamStore(seed=header["seed"])
+            for name, n_layers in header["layout"].items():
+                layers = []
+                for i in range(n_layers):
+                    weight = Tensor(archive[f"{name}/{i}/W"])
+                    bias = Tensor(archive[f"{name}/{i}/b"])
+                    layers.append((weight, bias))
+                store.groups[name] = layers
+            return store, header["meta"]
+    except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a parameter archive ({exc})") from None
 
 
 def finite_difference(fn, params: Sequence[Tensor], step: float = 1e-5) -> list[np.ndarray]:

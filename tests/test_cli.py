@@ -9,7 +9,9 @@ import pytest
 
 from fairweigh import trainer
 from fairweigh.cli import _read_weights, main
-from fairweigh.data import SplitPlan, load_csv, split_indices
+from fairweigh.data import Encoder, SplitPlan, load_csv, split_indices
+from fairweigh.graph import parse_graph, total_path_set
+from fairweigh.model import StructuredModel
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_document, generate, parse_scm
 
@@ -226,6 +228,53 @@ def test_effects_fit_and_checkpoint_round(workspace):
     assert code in (0, 1)
     report = json.loads((out / "report.json").read_text())
     assert "effect" in report and report["accuracy"] is None
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [("effects", "--checkpoint", "checkpoint"), ("effects", "--weights", "weights"),
+     ("evaluate", "--weights", "weights")],
+)
+def test_a_missing_input_file_exits_2_and_names_it(workspace, capsys, command, flag, kind):
+    config = config_for(workspace, "run_missing")
+    missing = workspace / "missing.file"
+    assert main([command, "--config", str(config), flag, str(missing)]) == 2
+    assert f"{kind} file not found: {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"index,weight\n0,1.0\n", b""], ids=["text", "empty"])
+def test_a_checkpoint_that_is_not_an_archive_exits_2_and_names_it(
+    workspace, tmp_path, capsys, content
+):
+    checkpoint = tmp_path / "checkpoint.npz"
+    checkpoint.write_bytes(content)
+    config = config_for(workspace, "run_not_archive")
+    assert main(["effects", "--config", str(config), "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint}: not a parameter archive" in err, err
+
+
+@pytest.mark.parametrize(
+    "graph_edit, context, expected",
+    [
+        (("s -> aux5\n", ""), [], "checkpoint was written for a different graph"),
+        (("", ""), ["x1"], "snapshot shape mismatch in group 'critic': (1, 32) vs (2, 32)"),
+    ],
+    ids=["other-graph", "other-critic-layout"],
+)
+def test_a_checkpoint_of_another_model_exits_2(
+    workspace, tmp_path, capsys, graph_edit, context, expected
+):
+    """A checkpoint saved for another graph, or for the same graph with
+    another critic input layout, is an input error naming what differs."""
+    graph = parse_graph((workspace / "graph.txt").read_text().replace(*graph_edit))
+    ds = load_csv(workspace / "data.csv", [(entry["name"], entry["kind"]) for entry in SCHEMA])
+    encoder = Encoder().fit(ds, {e["name"]: e["levels"] for e in SCHEMA if "levels" in e})
+    checkpoint = tmp_path / "checkpoint.npz"
+    StructuredModel(graph, encoder, total_path_set(graph), seed=0).save(checkpoint)
+    config = config_for(workspace, "run_other_model", critic_context_nodes=context)
+    assert main(["effects", "--config", str(config), "--checkpoint", str(checkpoint)]) == 2
+    assert expected in capsys.readouterr().err
 
 
 def test_effects_weights_flow(workspace):

@@ -138,7 +138,14 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 def test_snapshot_restore_checks_shapes():
     store = ParamStore(0)
     store.add_group("g", [(2, 2)])
+    store.add_group("h", [(1, 1)])
     snap = store.snapshot()
-    snap["g"][0] = np.zeros((3, 3))
-    with pytest.raises(ValueError):
+    snap["h"][0] = np.zeros((3, 3))
+    snap["g"][0] = np.ones((2, 2))
+    with pytest.raises(ValueError, match="shape mismatch in group 'h'"):
         store.restore(snap)
+    assert not np.array_equal(store.group("g")[0][0].data, snap["g"][0])  # nothing restored
+    partial = store.snapshot()
+    del partial["h"]
+    with pytest.raises(ValueError, match="lacks parameter group 'h'"):
+        store.restore(partial)
