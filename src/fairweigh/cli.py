@@ -90,13 +90,21 @@ def _hash(obj) -> str:
     return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
 
 
+def _input_file(path, kind: str) -> Path:
+    """``path`` as a Path, refused unless it names an existing file."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{kind} path is a directory, not a file: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{kind} file not found: {path}")
+    return path
+
+
 def load_config(path) -> dict:
     """Read a run config; a reweigh manifest is accepted and unwrapped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(_input_file(path, "config"), encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if "config" in raw and isinstance(raw["config"], dict):
@@ -174,14 +182,8 @@ def parse_schema(config: dict):
 
 def load_inputs(config: dict) -> tuple[ColumnarDataset, CausalGraph, dict]:
     schema, declared_levels = parse_schema(config)
-    graph_path = Path(config["graph"])
-    if not graph_path.exists():
-        raise ConfigError(f"graph file not found: {graph_path}")
-    graph = parse_graph(graph_path.read_text(encoding="utf-8"))
-    data_path = Path(config["data"])
-    if not data_path.exists():
-        raise ConfigError(f"data file not found: {data_path}")
-    ds = load_csv(data_path, schema)
+    graph = parse_graph(_input_file(config["graph"], "graph").read_text(encoding="utf-8"))
+    ds = load_csv(_input_file(config["data"], "data"), schema)
     for spec in graph.nodes:
         try:
             column = ds.column(spec.name)
@@ -299,9 +301,7 @@ def cmd_reweigh(args) -> int:
 
 
 def _read_weights(path, m: int) -> np.ndarray:
-    if not Path(path).is_file():
-        raise ConfigError(f"weights file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(_input_file(path, "weights"), newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"index", "weight"} <= set(reader.fieldnames):
             raise ConfigError("weights file needs 'index' and 'weight' columns")
@@ -355,11 +355,10 @@ def cmd_effects(args) -> int:
         critic_context_nodes=tuple(config.get("critic_context_nodes", ())),
     )
     if args.checkpoint:
-        if not Path(args.checkpoint).is_file():
-            raise ConfigError(f"checkpoint file not found: {args.checkpoint}")
+        checkpoint = _input_file(args.checkpoint, "checkpoint")
         try:
-            model.restore(args.checkpoint)
-        except ValueError as exc:  # unreadable, or written for another graph or layout
+            model.restore(checkpoint)
+        except ValueError as exc:  # unreadable, or written for another model
             raise ConfigError(f"checkpoint {args.checkpoint}: {exc}") from None
     else:
         # fit without reweighting: a vanishing balance pins weights at one
@@ -398,10 +397,7 @@ def cmd_effects(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    scm_path = Path(args.scm)
-    if not scm_path.exists():
-        raise ConfigError(f"scm file not found: {scm_path}")
-    scm = parse_scm(scm_path.read_text(encoding="utf-8"), seed=args.seed)
+    scm = parse_scm(_input_file(args.scm, "scm").read_text(encoding="utf-8"), seed=args.seed)
     condition = parse_condition(args.condition or [])
     if condition:
         conditioned = counterfactual_path_set(scm.graph, condition, lambda _: list(LABELS))

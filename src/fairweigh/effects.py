@@ -198,7 +198,7 @@ def wasserstein_estimate(
             raise FloatingPointError("distance critic diverged (non-finite loss)")
         opt.step(backward(loss, params))
 
-    del scratch  # the read-out below runs on all rows at once
+    del scratch
     c_a = mlp_forward(layers, x_a, "linear")[:, 0]
     c_b = mlp_forward(layers, x_b, "linear")[:, 0]
     return float(c_a.mean() - omega @ c_b)

@@ -46,6 +46,21 @@ class ModelError(ValueError):
     """Model assembly or forward-semantics violation."""
 
 
+def _same_mode(stored, mode: dict) -> bool:
+    """Whether a checkpoint's stored mode header names the fairness mode
+    ``mode``: pi edges and condition pairs compare in any order, and a
+    header of another shape names no mode."""
+    if not isinstance(stored, dict):
+        return False
+    try:
+        return stored["mode"] == mode["mode"] and all(
+            sorted(map(tuple, stored[key])) == sorted(map(tuple, mode[key]))
+            for key in ("on_pi_edges", "condition")
+        )
+    except (KeyError, TypeError):
+        return False
+
+
 def condition_mask(ds: ColumnarDataset, condition) -> np.ndarray:
     """Rows whose categorical label equals the value of every (node, value)
     pair; the graph admits conditions on categorical nodes only."""
@@ -357,24 +372,35 @@ class StructuredModel:
 
     # -- persistence ------------------------------------------------------------
 
-    def save(self, path) -> None:
-        meta = {
-            "graph": graph_fingerprint(self.graph),
-            "mode": {
-                "mode": self.mode.mode,
-                "on_pi_edges": sorted(list(e) for e in self.mode.on_pi_edges),
-                "condition": [[n, str(v)] for n, v in self.mode.condition],
-            },
+    def _mode_header(self) -> dict:
+        """The fairness mode as the checkpoint header stores it."""
+        return {
+            "mode": self.mode.mode,
+            "on_pi_edges": sorted(list(e) for e in self.mode.on_pi_edges),
+            "condition": [[n, str(v)] for n, v in self.mode.condition],
         }
+
+    def save(self, path) -> None:
+        meta = {"graph": graph_fingerprint(self.graph), "mode": self._mode_header()}
         save_params(self.params, path, meta)
 
     def restore(self, path) -> None:
-        """Load parameters saved by :meth:`save`, refusing a structure mismatch."""
+        """Load parameters saved by :meth:`save`, refusing a checkpoint of
+        another graph, fairness mode (pi edges, condition) or layer layout."""
         store, meta = load_params(path)
         expected = graph_fingerprint(self.graph)
         if meta.get("graph") != expected:
             raise ModelError(
                 "checkpoint was written for a different graph "
                 f"(stored {meta.get('graph', '?')[:12]}..., expected {expected[:12]}...)"
+            )
+        stored, mode = meta.get("mode"), self._mode_header()
+        if not _same_mode(stored, mode):
+            stored = stored if isinstance(stored, dict) else {}
+            raise ModelError(
+                f"checkpoint was written for {stored.get('mode', 'an unknown')} mode "
+                f"(pi edges {stored.get('on_pi_edges')}, condition {stored.get('condition')}); "
+                f"the model is in {mode['mode']} mode (pi edges {mode['on_pi_edges']}, "
+                f"condition {mode['condition']})"
             )
         self.params.restore(store.snapshot())

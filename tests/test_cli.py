@@ -242,6 +242,26 @@ def test_a_missing_input_file_exits_2_and_names_it(workspace, capsys, command, f
     assert f"{kind} file not found: {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["config", "graph", "data", "scm", "weights", "checkpoint"])
+def test_a_directory_given_as_an_input_file_exits_2_and_names_it(
+    workspace, tmp_path, capsys, kind
+):
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    if kind == "config":
+        args = ["reweigh", "--config", str(directory)]
+    elif kind in ("graph", "data"):
+        config = config_for(workspace, f"run_dir_{kind}", **{kind: str(directory)})
+        args = ["reweigh", "--config", str(config)]
+    elif kind == "scm":
+        args = ["gen-synth", "--scm", str(directory), "--n", "50", "--out", str(tmp_path / "g.csv")]
+    else:
+        config = config_for(workspace, "run_dir")
+        args = ["effects", "--config", str(config), f"--{kind}", str(directory)]
+    assert main(args) == 2
+    assert f"{kind} path is a directory, not a file: {directory}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content", [b"index,weight\n0,1.0\n", b""], ids=["text", "empty"])
 def test_a_checkpoint_that_is_not_an_archive_exits_2_and_names_it(
     workspace, tmp_path, capsys, content
@@ -275,6 +295,22 @@ def test_a_checkpoint_of_another_model_exits_2(
     config = config_for(workspace, "run_other_model", critic_context_nodes=context)
     assert main(["effects", "--config", str(config), "--checkpoint", str(checkpoint)]) == 2
     assert expected in capsys.readouterr().err
+
+
+def test_a_checkpoint_of_another_fairness_mode_exits_2_and_names_both(
+    workspace, tmp_path, capsys
+):
+    """A total-mode critic does not stand in for a path-specific one."""
+    graph = parse_graph((workspace / "graph.txt").read_text())
+    ds = load_csv(workspace / "data.csv", [(entry["name"], entry["kind"]) for entry in SCHEMA])
+    encoder = Encoder().fit(ds, {e["name"]: e["levels"] for e in SCHEMA if "levels" in e})
+    checkpoint = tmp_path / "checkpoint.npz"
+    StructuredModel(graph, encoder, total_path_set(graph), seed=0).save(checkpoint)
+    config = config_for(workspace, "run_other_mode", mode="path_specific", paths="indirect")
+    assert main(["effects", "--config", str(config), "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint}: checkpoint was written for total mode" in err, err
+    assert "the model is in path_specific mode" in err, err
 
 
 def test_effects_weights_flow(workspace):

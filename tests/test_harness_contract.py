@@ -14,6 +14,7 @@ from fairweigh import trainer
 from fairweigh.data import Encoder
 from fairweigh.graph import counterfactual_path_set, indirect_path_set, total_path_set
 from fairweigh.model import StructuredModel
+from fairweigh.nn import BLOCK_ROWS
 from fairweigh.synth import benchmark_scm, generate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -67,3 +68,26 @@ def test_a_traced_run_yields_the_phases_of_each_epoch(tracing, path_set, context
     assert kinds.count("full_pair") == kinds.count("effect") == epochs
     metrics, _ = tracing.summarize(tracer, units=1, setups=1)
     assert metrics["trainer.fit_steps"] == kinds.count("fit")
+
+
+def test_traced_forwards_count_each_caller_row_once(tracing):
+    """``mlp_forward`` blocks its rows inside ``nn``, behind the lookups the
+    tracer wraps: a full-split forward is one span of every split row, not
+    one span per block, and ``nn.mlp_rows`` counts each caller row once."""
+    m, batch = BLOCK_ROWS + 1000, 640
+    scm = benchmark_scm(seed=3)
+    ds = generate(scm, m)
+    model = StructuredModel(scm.graph, Encoder().fit(ds), total_path_set(scm.graph), seed=3)
+    config = trainer.TrainConfig(
+        epochs=1, batch_size=batch, seed=3, critic_steps_at_weight_solve=2
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        trainer.train(model, ds, config)
+    rows = [span.info["rows"] for span in tracer.spans if span.name == "mlp_forward"]
+    # the full-split pair runs med and y under both clamps; the orientation
+    # and the weight solve each run the critic on both arms
+    assert rows.count(m) == 4 + 2 + 2
+    assert all(r == m or r <= batch for r in rows)
+    metrics, _ = tracing.summarize(tracer, units=1, setups=1)
+    assert metrics["nn.mlp_rows"] == sum(rows)

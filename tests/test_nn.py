@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from fairweigh import nn
 from fairweigh.autodiff import Tensor
 from fairweigh.nn import (
+    BLOCK_ROWS,
     Adam,
     MomentumSGD,
     ParamStore,
+    layer_sizes,
     learning_rate,
     load_params,
+    mlp_activations,
     mlp_forward,
     save_params,
 )
@@ -149,3 +153,43 @@ def test_snapshot_restore_checks_shapes():
     del partial["h"]
     with pytest.raises(ValueError, match="lacks parameter group 'h'"):
         store.restore(partial)
+
+
+@pytest.mark.parametrize("head, width", [("linear", 1), ("logistic", 1), ("softmax", 3)])
+@pytest.mark.parametrize(
+    "rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 3 * BLOCK_ROWS + 1]
+)
+def test_blocked_forward_matches_one_pass(head, width, rows):
+    """Rows are independent, so the blocks' outputs are those of one pass;
+    BLAS may pick another kernel for a block's shape, hence the tolerance."""
+    store = ParamStore(5)
+    store.add_group("g", layer_sizes(4, (32, 32), width))
+    x = np.random.default_rng(rows).normal(size=(rows, 4))
+    blocked = mlp_forward(store.group("g"), x, head)
+    one_pass = mlp_activations(store.group("g"), x, head)[1]
+    assert blocked.shape == one_pass.shape == (rows, width)
+    np.testing.assert_allclose(blocked, one_pass, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "rows, blocks",
+    [
+        (BLOCK_ROWS, [BLOCK_ROWS]),
+        (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),
+        (BLOCK_ROWS + 2, [BLOCK_ROWS, 2]),
+        (3 * BLOCK_ROWS + 1, [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS + 1]),
+    ],
+)
+def test_forward_blocks_start_at_multiples_and_never_hold_one_row(monkeypatch, rows, blocks):
+    store = ParamStore(6)
+    store.add_group("g", layer_sizes(2, (8,), 1))
+    seen = []
+    original = nn.mlp_activations
+
+    def recorded(layers, x, head):
+        seen.append(len(x))
+        return original(layers, x, head)
+
+    monkeypatch.setattr(nn, "mlp_activations", recorded)
+    mlp_forward(store.group("g"), np.zeros((rows, 2)), "linear")
+    assert seen == blocks
