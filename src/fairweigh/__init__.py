@@ -1,11 +1,12 @@
 """Causal-fairness-guided sample reweighting for tabular data.
 
 Given a causal DAG over the columns of a dataset, the library fits one
-sub-network per non-root variable, clamps the sensitive variable to build
-interventional forward passes, and plays an adversarial game between a
-gradient-penalty critic and a constrained weight solve so that the reweighted
-data satisfies a chosen causal fairness notion (total, path-specific, or
-counterfactual) while staying close to the original distribution.
+sub-network per descendant of the sensitive variable that the outcome depends
+on, clamps the sensitive variable to build interventional forward passes over
+them, and plays an adversarial game between a gradient-penalty critic and a
+constrained weight solve so that the reweighted data satisfies a chosen
+causal fairness notion (total, path-specific, or counterfactual) while staying
+close to the original distribution.
 """
 
 from .graph import (

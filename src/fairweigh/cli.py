@@ -2,9 +2,10 @@
 
 A run is driven by a JSON config document; command-line flags override single
 fields.  Every reweigh run writes a manifest capturing the fully resolved
-configuration plus content hashes, and feeding that manifest back through
-``--config`` reproduces the weight files byte for byte on the same numpy and
-BLAS build with the same BLAS thread setting.
+configuration plus content hashes and the numpy, BLAS and BLAS thread
+setting it ran under; feeding that manifest back through ``--config``
+reproduces the weight files byte for byte on the same numpy and BLAS build
+with the same BLAS thread setting.
 
 Exit codes: 0 success and fair (|effect| < tau), 1 success but the effect
 exceeds tau, 2 configuration/input errors, 3 runtime failures.
@@ -17,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
@@ -76,6 +78,16 @@ CONFIG_KEYS = {
     "wasserstein_steps",
     "critic_context_nodes",
 }
+
+
+# The environment variables that set the BLAS thread count.
+BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 
 class ConfigError(ValueError):
@@ -234,10 +246,28 @@ def build_train_config(config: dict) -> TrainConfig:
         raise ConfigError(f"bad train config: {exc}") from None
 
 
+def _environment() -> dict:
+    """numpy's version, the BLAS it was built with, and the BLAS thread
+    variables that are set: the weight files reproduce byte for byte only
+    under the same ones."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that only prints its build
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_thread_variables": {
+            name: os.environ[name] for name in BLAS_THREAD_VARIABLES if name in os.environ
+        },
+    }
+
+
 def write_manifest(out_dir: Path, config: dict, graph: CausalGraph) -> None:
     manifest = {
         "config": config,
         "config_hash": _hash(config),
+        "environment": _environment(),
         "graph_hash": graph_fingerprint(graph),
         "seed": config.get("train", {}).get("seed", TrainConfig().seed),
         "version": __version__,

@@ -135,13 +135,22 @@ def discriminator_gap(
         pair = model.interventional_pair(model.encoder.transform(ds), model.pair_mask(ds))
     d_plus = model.critic_values(pair.y_plus, pair.context)
     d_minus = model.critic_values(pair.y_minus, pair.context)
+    return scaled_critic_gap(d_plus, d_minus, weights, ds.m, pair.rows)
+
+
+def scaled_critic_gap(
+    d_plus: np.ndarray, d_minus: np.ndarray, weights: np.ndarray | None, m: int, rows: np.ndarray
+) -> float:
+    """The gap of :func:`discriminator_gap` from the critic's read-outs on a
+    pair's two arms, ``weights`` over all ``m`` rows normalized inside the
+    pair's ``rows``."""
     pooled = np.concatenate([d_plus, d_minus])
     spread = float(pooled.max() - pooled.min())
     if spread < 1e-12:
         warnings.warn("critic output is constant; gap diagnostic degenerate")
         return 0.0
     low = pooled.min()
-    omega = _pair_weights(weights, ds.m, pair.rows)
+    omega = _pair_weights(weights, m, rows)
     return float(omega @ ((d_plus - low) / spread) - omega @ ((d_minus - low) / spread))
 
 

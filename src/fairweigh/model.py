@@ -1,10 +1,13 @@
 """Graph-structured networks with a shared parameter store, plus the critic.
 
-One sub-network exists per non-root node.  The observational view scores how
-well each sub-network reproduces its node from the *observed* parent values;
-the interventional view clamps the sensitive node and cascades sub-network
-outputs through the graph instead.  Both views resolve a node to the same
-parameter group, so they can never drift apart.
+One sub-network exists per node that an interventional cascade reads: a
+descendant of the sensitive node that the outcome depends on.  Every other
+node enters each cascade as observed (or, the sensitive node, as clamped), so
+a sub-network for it would be fit and never read.  The observational view
+scores how well each sub-network reproduces its node from the *observed*
+parent values; the interventional view clamps the sensitive node and cascades
+sub-network outputs through the graph instead.  Both views resolve a node to
+the same parameter group, so they can never drift apart.
 
 Intermediate categorical values propagate as probability vectors (soft,
 deterministic); binary nodes expand a scalar success probability p into the
@@ -121,21 +124,26 @@ class StructuredModel:
                     "sensitive node"
                 )
 
-        self.params = ParamStore(seed)
+        # the clamped cascades run only what the outcome can depend on
+        self._outcome_ancestry = graph.outcome_ancestry()
         self.sub_network_nodes: tuple[str, ...] = tuple(
-            n for n in graph.topo_order if graph.parents(n)
+            n for n in self._outcome_ancestry if n in self._descendants
         )
-        for name in self.sub_network_nodes:
-            in_width = sum(encoder.block_width(p) for p in graph.parents(name))
-            _, out_width = self._head(name)
-            self.params.add_group(name, layer_sizes(in_width, hidden, out_width))
+        self.params = ParamStore(seed)
+        # Every non-root node's group is drawn, in topological order, so that
+        # the kept groups start from the same values whichever are dropped.
+        for name in graph.topo_order:
+            if graph.parents(name):
+                in_width = sum(encoder.block_width(p) for p in graph.parents(name))
+                _, out_width = self._head(name)
+                self.params.add_group(name, layer_sizes(in_width, hidden, out_width))
+        for name in set(self.params.groups) - set(self.sub_network_nodes):
+            del self.params.groups[name]
         context_width = sum(encoder.block_width(n) for n in self.critic_context_nodes)
         self.params.add_group(
             "critic", layer_sizes(1 + context_width, critic_hidden, 1), zero_final=True
         )
 
-        # the clamped cascades run only what the outcome can depend on
-        self._outcome_ancestry = graph.outcome_ancestry()
         # encoded columns of each sub-network's parents, in parent order
         self._parent_columns = {
             name: np.r_[tuple(encoder.block(p) for p in graph.parents(name))]
@@ -189,7 +197,8 @@ class StructuredModel:
     def fit_loss(self, x: np.ndarray, weights: np.ndarray) -> Tensor:
         """Weighted per-node fit: squared error for continuous nodes,
         cross entropy for categorical ones; mean over the batch.  The loss
-        holds its gradient for every sub-network parameter."""
+        holds its gradient for every sub-network parameter; with no
+        sub-network it is 0 with no gradient."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (x.shape[0],):
             raise ModelError(
@@ -197,8 +206,6 @@ class StructuredModel:
             )
         if np.any(weights < 0):
             raise ModelError("negative sample weight in batch")
-        if not self.sub_network_nodes:
-            raise ModelError("graph has no non-root nodes to fit")
         w_col = weights.reshape(-1, 1)
         scale = 1.0 / float(x.shape[0])
         g_row = scale * w_col  # the loss's gradient at each row's node term
@@ -212,6 +219,8 @@ class StructuredModel:
             per_row = term if per_row is None else per_row + term
             params = [p for layer in layers for p in layer]
             grads.update(zip(map(id, params), mlp_backward(layers, hs, out, head, grad_out)))
+        if per_row is None:  # no node to fit: the critic trains alone
+            return Tensor(0.0, grads)
         return Tensor((w_col * per_row).sum() * scale, grads)
 
     def _fit_term(self, name: str, out, target, g_row) -> tuple[np.ndarray, np.ndarray]:
@@ -386,7 +395,8 @@ class StructuredModel:
 
     def restore(self, path) -> None:
         """Load parameters saved by :meth:`save`, refusing a checkpoint of
-        another graph, fairness mode (pi edges, condition) or layer layout."""
+        another graph, fairness mode (pi edges, condition) or layer layout,
+        or one holding sub-networks this model does not fit."""
         store, meta = load_params(path)
         expected = graph_fingerprint(self.graph)
         if meta.get("graph") != expected:
@@ -402,5 +412,11 @@ class StructuredModel:
                 f"(pi edges {stored.get('on_pi_edges')}, condition {stored.get('condition')}); "
                 f"the model is in {mode['mode']} mode (pi edges {mode['on_pi_edges']}, "
                 f"condition {mode['condition']})"
+            )
+        unfit = [name for name in store.groups if name not in self.params.groups]
+        if unfit:
+            raise ModelError(
+                f"checkpoint holds sub-networks this model does not fit ({', '.join(unfit)}); "
+                "only descendants of the sensitive node that the outcome depends on have one"
             )
         self.params.restore(store.snapshot())

@@ -9,9 +9,12 @@ epoch's weighted fit.
 After the fit steps the fit parameters stay frozen for the rest of the epoch,
 so the interventional pair is computed once over the full split: the
 refinement critic steps take their batches' rows from it, and the epoch's
-effect estimate reuses it with the solved weights.  Every loss holds its
-closed-form gradients; each loop of critic steps writes its row-sized arrays
-into one :class:`~fairweigh.nn.Scratch` sized by the batch.
+effect estimate reuses it with the solved weights.  The critic read-outs of
+the weight solve also give the epoch's rescaled critic gap under the solved
+weights, so :func:`repeat_protocol` reports the last epoch's effect and gap
+without a further cascade.  Every loss holds its closed-form gradients; each
+loop of critic steps writes its row-sized arrays into one
+:class:`~fairweigh.nn.Scratch` sized by the batch.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .data import ColumnarDataset, Encoder, SplitPlan, split_indices
 from .effects import (
     EffectReport,
     MetricSummary,
-    discriminator_gap,
+    discriminator_gap,  # not called here; perfbench/tracing.py wraps this lookup
     downstream_accuracy,
     estimate_effect,
+    scaled_critic_gap,
     statistical_parity,
     wasserstein_distance,
 )
@@ -89,6 +93,7 @@ class EpochRecord:
     critic_objective: float
     gradient_penalty: float
     effect: float
+    critic_gap: float
     weight_deviation: float
     wall_time: float
 
@@ -138,6 +143,7 @@ class _Loop:
         self.completed_fit_steps = 0
         self.last_critic_objective = 0.0
         self.last_penalty = 0.0
+        self.last_critic_gap = 0.0
 
     def fit_step(self, idx: np.ndarray) -> float:
         loss = self.model.fit_loss(self.x[idx], self.weights[idx])
@@ -181,22 +187,30 @@ class _Loop:
         negation, so when the weighted objective is negative the negated
         critic is a strictly better feasible maximizer.  Gradient steps cannot
         cross between the two basins once the penalty binds; this jump can."""
-        if float(self.weights[pair.rows] @ self._critic_gap(pair)) < 0.0:
+        d_plus, d_minus = self._critic_gap(pair)
+        if float(self.weights[pair.rows] @ (d_plus - d_minus)) < 0.0:
             weight, bias = self.model.params.group("critic")[-1]
             weight.data = -weight.data
             bias.data = -bias.data
 
     def solve_epoch_weights(self, pair: Pair) -> WeightVector:
-        """Critic gap over the full split, then the constrained weight solve."""
-        solved = solve_weights(self._critic_gap(pair), self.config.balance)
+        """Critic gap over the full split, then the constrained weight solve;
+        keeps the rescaled gap under the solved weights (see
+        :func:`~fairweigh.effects.discriminator_gap`) as ``last_critic_gap``."""
+        d_plus, d_minus = self._critic_gap(pair)
+        solved = solve_weights(d_plus - d_minus, self.config.balance)
         # Conditioned mode: rows outside the condition keep weight one.
         self.weights = np.ones(self.ds.m)
         self.weights[pair.rows] = solved.values
+        self.last_critic_gap = scaled_critic_gap(
+            d_plus, d_minus, self.weights, self.ds.m, pair.rows
+        )
         return WeightVector(self.weights.copy(), self.config.balance)
 
-    def _critic_gap(self, pair: Pair) -> np.ndarray:
+    def _critic_gap(self, pair: Pair) -> tuple[np.ndarray, np.ndarray]:
+        """The critic's read-outs on the pair's two arms."""
         critic = self.model.critic_values
-        return critic(pair.y_plus, pair.context) - critic(pair.y_minus, pair.context)
+        return critic(pair.y_plus, pair.context), critic(pair.y_minus, pair.context)
 
 
 def train(
@@ -245,6 +259,7 @@ def train(
                 critic_objective=loop.last_critic_objective,
                 gradient_penalty=loop.last_penalty,
                 effect=effect,
+                critic_gap=loop.last_critic_gap,
                 weight_deviation=float(np.sum((loop.weights - 1.0) ** 2)),
                 wall_time=time.perf_counter() - started,
             )
@@ -305,9 +320,9 @@ def repeat_protocol(
         )
         model, weight_vector, log = train(model, train_ds, rep_config)
         w = weight_vector.values
-        # the last epoch's effect is already that of the final weights
+        # the last epoch's effect and gap are already those of the final weights
         effects.append(log[-1].effect)
-        gaps.append(discriminator_gap(model, train_ds, w))
+        gaps.append(log[-1].critic_gap)
         parities.append(
             statistical_parity(
                 train_ds, graph.sensitive, graph.outcome, w, declared_levels

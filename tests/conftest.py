@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fairweigh.data import Encoder
-from fairweigh.graph import parse_graph, total_path_set
+from fairweigh.graph import graph_fingerprint, parse_graph, total_path_set
 from fairweigh.model import StructuredModel
+from fairweigh.nn import ParamStore, layer_sizes, save_params
 from fairweigh.synth import benchmark_scm, generate
 
 try:
@@ -79,3 +80,23 @@ def relative_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     num = np.linalg.norm(np.asarray(analytic) - np.asarray(reference))
     den = max(np.linalg.norm(analytic), np.linalg.norm(reference), 1e-6)
     return num / den
+
+
+def every_non_root_store(model, seed: int) -> ParamStore:
+    """A store with a group for every non-root node of the model's graph,
+    added in topological order, at the default hidden widths: the groups a
+    model drew before it kept only the nodes a cascade reads."""
+    graph, store = model.graph, ParamStore(seed)
+    for name in graph.topo_order:
+        if graph.parents(name):
+            in_width = sum(model.encoder.block_width(p) for p in graph.parents(name))
+            store.add_group(name, layer_sizes(in_width, (32, 32), model._head(name)[1]))
+    return store
+
+
+def all_groups_checkpoint(model, path):
+    """A checkpoint as written when every non-root node had a sub-network."""
+    store = every_non_root_store(model, 0)
+    store.groups["critic"] = model.params.group("critic")
+    meta = {"graph": graph_fingerprint(model.graph), "mode": model._mode_header()}
+    save_params(store, path, meta)

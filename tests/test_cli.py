@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from fairweigh import trainer
-from fairweigh.cli import _read_weights, main
+from fairweigh.cli import BLAS_THREAD_VARIABLES, _read_weights, main
 from fairweigh.data import Encoder, SplitPlan, load_csv, split_indices
 from fairweigh.graph import parse_graph, total_path_set
 from fairweigh.model import StructuredModel
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_document, generate, parse_scm
+
+from conftest import all_groups_checkpoint
 
 SCHEMA = [
     {"name": "x1", "kind": "continuous"},
@@ -311,6 +313,45 @@ def test_a_checkpoint_of_another_fairness_mode_exits_2_and_names_both(
     err = capsys.readouterr().err
     assert f"checkpoint {checkpoint}: checkpoint was written for total mode" in err, err
     assert "the model is in path_specific mode" in err, err
+
+
+def test_a_checkpoint_holding_sub_networks_the_model_does_not_fit_exits_2(
+    workspace, tmp_path, capsys
+):
+    """A checkpoint that holds a sub-network for every non-root node, as
+    every node had one once, is refused and the message says why."""
+    graph = parse_graph((workspace / "graph.txt").read_text())
+    ds = load_csv(workspace / "data.csv", [(entry["name"], entry["kind"]) for entry in SCHEMA])
+    encoder = Encoder().fit(ds, {e["name"]: e["levels"] for e in SCHEMA if "levels" in e})
+    checkpoint = tmp_path / "checkpoint.npz"
+    all_groups_checkpoint(StructuredModel(graph, encoder, total_path_set(graph), seed=0), checkpoint)
+    config = config_for(workspace, "run_all_groups")
+    assert main(["effects", "--config", str(config), "--checkpoint", str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint}: checkpoint holds sub-networks this model does not fit" in err
+
+
+def test_manifest_records_the_environment_and_still_reproduces_the_weights(workspace):
+    config = config_for(workspace, "run_env")
+    assert main(["reweigh", "--config", str(config)]) in (0, 1)
+    manifest = json.loads((workspace / "run_env" / "manifest.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["environment"] == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas_thread_variables": {
+            name: os.environ[name] for name in BLAS_THREAD_VARIABLES if name in os.environ
+        },
+    }
+    rerun = workspace / "run_env_rerun"
+    manifest_path = workspace / "run_env" / "manifest.json"
+    assert main(["reweigh", "--config", str(manifest_path), "--out", str(rerun)]) in (0, 1)
+    assert (workspace / "run_env" / "weights_mean.csv").read_bytes() == (
+        rerun / "weights_mean.csv"
+    ).read_bytes()
+    assert json.loads((rerun / "manifest.json").read_text())["environment"] == (
+        manifest["environment"]
+    )
 
 
 def test_effects_weights_flow(workspace):

@@ -6,6 +6,7 @@ the phases the tracer rebuilds."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,14 +19,28 @@ from fairweigh.nn import BLOCK_ROWS
 from fairweigh.synth import benchmark_scm, generate
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKER = TRACING.with_name("worker.py")
+
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("perfbench_tracing", TRACING)
+
+
+@pytest.fixture(scope="module")
+def worker():
+    saved = list(sys.path)  # the worker puts perfbench/ on the path for its tracer
+    try:
+        return load("perfbench_worker", WORKER)
+    finally:
+        sys.path[:] = saved
 
 
 def test_every_traced_lookup_resolves(tracing):
@@ -91,3 +106,16 @@ def test_traced_forwards_count_each_caller_row_once(tracing):
     assert all(r == m or r <= batch for r in rows)
     metrics, _ = tracing.summarize(tracer, units=1, setups=1)
     assert metrics["nn.mlp_rows"] == sum(rows)
+
+
+@pytest.mark.parametrize("workload", ["critic-bound", "fit-bound", "cli-audit"])
+def test_a_benchmark_unit_passes_its_output_check(worker, tmp_path, workload):
+    """One set-up and one unit of each benchmark workload at seed 1: the unit
+    raises ``CheckFailed`` when its weights or final effect fail the
+    benchmark's output check, which requires the final effect to lie within
+    2% of |oracle effect| of the effect recorded for that seed."""
+    runner = worker.WORKLOADS[workload]()
+    runner.reference = worker.reference_effect(workload, 1, 1)
+    assert runner.reference is not None
+    runner.setup(1, tmp_path)
+    runner.unit()

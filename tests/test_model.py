@@ -16,10 +16,10 @@ from fairweigh.graph import (
     total_path_set,
 )
 from fairweigh.model import ModelError, Pair, StructuredModel, condition_mask
-from fairweigh.nn import Adam, finite_difference, save_params
+from fairweigh.nn import Adam, finite_difference, layer_sizes, save_params
 from fairweigh.synth import benchmark_scm, generate, parse_scm
 
-from conftest import relative_error
+from conftest import all_groups_checkpoint, every_non_root_store, relative_error
 
 MINIMAL_DOC = """
 [nodes]
@@ -51,11 +51,75 @@ def minimal_model(seed=0, m=32):
     return model, ds, enc.transform(ds)
 
 
-def test_sub_networks_exist_only_for_non_roots(bench_small):
+def diamond_encoder(m=16):
+    rng = np.random.default_rng(0)
+    return Encoder().fit(
+        ColumnarDataset(
+            [
+                Column("a", "continuous", rng.normal(size=m)),
+                Column("s", "categorical", np.where(rng.random(m) < 0.5, "1", "0")),
+                Column("b", "continuous", rng.normal(size=m)),
+                Column("y", "categorical", np.where(rng.random(m) < 0.5, "1", "0")),
+            ]
+        )
+    )
+
+
+def test_sub_networks_exist_only_for_nodes_a_cascade_reads(bench_small, diamond_graph):
+    """A sub-network exists for each descendant of the sensitive node that
+    the outcome depends on: not for the clamped sensitive node, nor for
+    descendants that never reach the outcome (aux1-aux5)."""
     scm, _, _, model = bench_small
-    non_roots = {n for n in scm.graph.column_names() if scm.graph.parents(n)}
-    assert set(model.sub_network_nodes) == non_roots  # x1, x2 are roots
-    assert set(model.params.groups) == non_roots | {"critic"}
+    assert model.sub_network_nodes == ("med", "y")
+    assert list(model.params.groups) == ["med", "y", "critic"]
+    diamond = StructuredModel(diamond_graph, diamond_encoder(), total_path_set(diamond_graph), 0)
+    assert diamond.sub_network_nodes == ("b", "y")  # not s, though a -> s
+    assert list(diamond.params.groups) == ["b", "y", "critic"]
+
+
+@pytest.mark.parametrize("which", ["benchmark", "diamond"])
+def test_kept_groups_start_from_the_draws_of_every_non_root_group(bench_small, diamond_graph, which):
+    """Dropping the unread groups moves no initial value: every kept group,
+    the critic included, is byte-equal to the same group of a store that adds
+    a group for every non-root node in topological order, then the critic."""
+    if which == "benchmark":
+        scm, _, enc, _ = bench_small
+        graph = scm.graph
+    else:
+        graph, enc = diamond_graph, diamond_encoder()
+    model = StructuredModel(graph, enc, total_path_set(graph), seed=5)
+    every = every_non_root_store(model, 5)
+    every.add_group("critic", layer_sizes(1, (32, 32, 32), 1), zero_final=True)
+    assert set(model.params.groups) < set(every.groups)
+    for name, layers in model.params.groups.items():
+        expected = [p.data.tobytes() for layer in every.group(name) for p in layer]
+        assert [p.data.tobytes() for layer in layers for p in layer] == expected, name
+
+
+def test_a_graph_with_no_node_to_fit_trains_only_the_critic(no_path_graph):
+    """Without a path from the sensitive node to the outcome no cascade reads
+    a sub-network: the fit loss is 0 with no gradient, and training runs its
+    usual batches and critic steps."""
+    rng = np.random.default_rng(2)
+    m = 120
+    ds = ColumnarDataset(
+        [
+            Column("a", "continuous", rng.normal(size=m)),
+            Column("s", "categorical", np.where(rng.random(m) < 0.5, "1", "0")),
+            Column("y", "categorical", np.where(rng.random(m) < 0.4, "1", "0")),
+        ]
+    )
+    enc = Encoder().fit(ds)
+    model = StructuredModel(no_path_graph, enc, total_path_set(no_path_graph), seed=1)
+    assert model.sub_network_nodes == ()
+    assert list(model.params.groups) == ["critic"]
+    loss = model.fit_loss(enc.transform(ds), np.ones(m))
+    assert float(loss.data) == 0.0 and loss.grads == {}
+    config = trainer.TrainConfig(epochs=2, batch_size=40, seed=1, critic_steps_at_weight_solve=3)
+    with pytest.warns(UserWarning, match="constant"):
+        _, weights, log = trainer.train(model, ds, config)
+    assert [record.fit_loss for record in log] == [0.0, 0.0]
+    assert np.array_equal(weights.values, np.ones(m))
 
 
 def test_fresh_logistic_head_outputs_half():
@@ -476,6 +540,23 @@ def test_checkpoint_refuses_other_fairness_mode(tmp_path, bench_small, saved, re
     StructuredModel(scm.graph, enc, modes[saved](scm.graph), seed=1).restore(path)
 
 
+def test_a_checkpoint_with_sub_networks_this_model_does_not_fit_is_refused(
+    tmp_path, bench_small
+):
+    scm, _, enc, _ = bench_small
+    model = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=1)
+    path = tmp_path / "ck.npz"
+    all_groups_checkpoint(model, path)
+    before = model.params.snapshot()
+    with pytest.raises(
+        ModelError,
+        match=r"holds sub-networks this model does not fit \(aux1, aux2, aux3, aux4, aux5, s\)",
+    ):
+        model.restore(path)
+    after = model.params.snapshot()
+    assert all(np.array_equal(a, b) for name in before for a, b in zip(before[name], after[name]))
+
+
 TWO_CONDITION_DOC = """
 [nodes]
 a categorical 2
@@ -589,11 +670,16 @@ def test_explicit_mask_matching_no_row_gives_an_empty_pair(bench_small):
 
 def full_descendant_pair(model, x):
     """Both arms of the pair from cascades that recompute every descendant
-    of the sensitive node, whether or not it can reach the outcome."""
+    of the sensitive node, whether or not it can reach the outcome.  A
+    descendant without a sub-network gets a block of NaN, which would reach
+    the outcome if the outcome depended on it."""
     graph = model.graph
     descendants = graph.descendants(graph.sensitive)
 
     def recompute(values, name, inputs):
+        if name not in model.params.groups:
+            values[name] = np.full((x.shape[0], model.encoder.block_width(name)), np.nan)
+            return
         values[name] = model._block_repr(name, model._node_output(name, model._join(inputs)))
 
     def clamped(s_value):
@@ -633,6 +719,7 @@ def full_descendant_pair(model, x):
 def test_pair_equals_full_descendant_cascades_bitwise(bench_small, mode):
     scm, ds, enc, _ = bench_small
     model = StructuredModel(scm.graph, enc, PAIR_MODES[mode](scm.graph), seed=13)
+    assert {"aux1", "aux5"}.isdisjoint(model.params.groups)  # NaN blocks below
     x = enc.transform(ds)
     y_plus, y_minus, _, _ = model.interventional_pair(x)
     ref_plus, ref_minus = full_descendant_pair(model, x)

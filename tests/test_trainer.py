@@ -9,7 +9,7 @@ import pytest
 from fairweigh import trainer
 from fairweigh.autodiff import Tensor, backward
 from fairweigh.data import Column, ColumnarDataset, Encoder
-from fairweigh.effects import estimate_effect
+from fairweigh.effects import discriminator_gap, estimate_effect
 from fairweigh.graph import counterfactual_path_set, indirect_path_set, total_path_set
 from fairweigh.model import StructuredModel
 from fairweigh.nn import Adam, Scratch
@@ -367,6 +367,60 @@ def test_logged_effect_reuses_the_full_pair(mode):
     model, wv, log = train(model, ds, cfg)
     expected = estimate_effect(model, ds, enc.transform(ds), wv.values)
     assert log[-1].effect == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_logged_critic_gap_is_the_discriminator_gap_of_the_final_weights(mode):
+    """The epoch's critic gap comes from the weight solve's critic read-outs,
+    bit-equal to recomputing the full-split pair in ``discriminator_gap``."""
+    ds, enc, model, cfg = mode_setup(mode, epochs=2)
+    model, wv, log = train(model, ds, cfg)
+    gap = discriminator_gap(model, ds, wv.values)
+    assert gap != 0.0 and log[-1].critic_gap == gap
+
+
+def test_repeat_protocol_reports_the_logged_gap_and_runs_one_full_pair(monkeypatch):
+    scm = benchmark_scm(seed=9)
+    ds = generate(scm, 300)
+    cfg = TrainConfig(**{**FAST, "seed": 9})
+    calls = []
+    original = StructuredModel.interventional_pair
+
+    def counted(model, x, mask=None):
+        calls.append(x.shape[0])
+        return original(model, x, mask)
+
+    monkeypatch.setattr(StructuredModel, "interventional_pair", counted)
+    report, artifacts = repeat_protocol(
+        ds, scm.graph, total_path_set(scm.graph), cfg, repeats=1,
+        compute_wasserstein=False, compute_accuracy=False,
+    )
+    art = artifacts[0]
+    assert report.critic_gap.values == (art["log"][-1].critic_gap,)
+    assert calls.count(art["train"].m) == cfg.epochs  # one full-split pair per epoch
+    monkeypatch.undo()
+    assert report.critic_gap.mean == discriminator_gap(art["model"], art["train"], art["weights"])
+
+
+def test_repeat_protocol_warns_on_a_degenerate_critic(no_path_graph):
+    """Without a path to the outcome the arms are equal, the critic stays
+    constant, and the reported gap is 0 with the diagnostic's warning."""
+    rng = np.random.default_rng(3)
+    m = 200
+    ds = ColumnarDataset(
+        [
+            Column("a", "continuous", rng.normal(size=m)),
+            Column("s", "categorical", np.where(rng.random(m) < 0.5, "1", "0")),
+            Column("y", "categorical", np.where(rng.random(m) < 0.4, "1", "0")),
+        ]
+    )
+    cfg = TrainConfig(epochs=2, batch_size=50, seed=1, critic_steps_at_weight_solve=3)
+    with pytest.warns(UserWarning, match="critic output is constant"):
+        report, _ = repeat_protocol(
+            ds, no_path_graph, total_path_set(no_path_graph), cfg, repeats=1,
+            compute_wasserstein=False, compute_accuracy=False,
+        )
+    assert report.critic_gap.values == (0.0,)
 
 
 def test_failed_weight_solve_rolls_back_to_epoch_boundary(monkeypatch):
