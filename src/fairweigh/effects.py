@@ -175,7 +175,8 @@ def wasserstein_estimate(
     Trains a fresh gradient-penalty critic (the ``DISTANCE_*`` constants) on
     full encoded rows to maximize E_original[C] - E_weighted[C] for a fixed
     step budget, then returns the exact full-data objective of the trained
-    critic.
+    critic.  When both sides are one matrix (the same rows, reweighted), the
+    critic reads the rows out once.
     """
     x_a = np.asarray(x_original, dtype=np.float64)
     x_b = np.asarray(x_reweighted, dtype=np.float64)
@@ -209,7 +210,7 @@ def wasserstein_estimate(
 
     del scratch
     c_a = mlp_forward(layers, x_a, "linear")[:, 0]
-    c_b = mlp_forward(layers, x_b, "linear")[:, 0]
+    c_b = c_a if x_b is x_a else mlp_forward(layers, x_b, "linear")[:, 0]
     return float(c_a.mean() - omega @ c_b)
 
 
@@ -220,13 +221,17 @@ def wasserstein_distance(
     seed: int = 0,
     steps: int = 2000,
 ) -> float:
-    """Dataset-level wrapper: encode both sides with one shared transform."""
+    """Dataset-level wrapper: encode both sides with one shared transform,
+    once when they hold the same columns (``reweighted`` is ``original``
+    with other weights)."""
     if original.names != reweighted.names:
         raise DataError("datasets must share a schema")
     enc = Encoder().fit(original) if encoder is None else encoder
+    x_original = enc.transform(original)
+    same_rows = all(a is b for a, b in zip(original.columns, reweighted.columns))
     return wasserstein_estimate(
-        enc.transform(original),
-        enc.transform(reweighted),
+        x_original,
+        x_original if same_rows else enc.transform(reweighted),
         weights=reweighted.weights,
         seed=seed,
         steps=steps,

@@ -138,10 +138,14 @@ class CausalGraph:
     def descendants(self, name: str) -> frozenset[str]:
         return _reach(self._children[name], self.children)
 
+    def ancestry(self, names) -> tuple[str, ...]:
+        """``names`` and every node they depend on, in topological order."""
+        reached = _reach(names, self.parents)
+        return tuple(n for n in self.topo_order if n in reached)
+
     def outcome_ancestry(self) -> tuple[str, ...]:
         """The outcome and every node it depends on, in topological order."""
-        ancestry = _reach([self.outcome], self.parents)
-        return tuple(n for n in self.topo_order if n in ancestry)
+        return self.ancestry([self.outcome])
 
     @property
     def has_effect_path(self) -> bool:

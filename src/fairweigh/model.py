@@ -194,11 +194,13 @@ class StructuredModel:
             for name, columns in self._parent_columns.items()
         }
 
-    def fit_loss(self, x: np.ndarray, weights: np.ndarray) -> Tensor:
+    def fit_loss(self, x: np.ndarray, weights: np.ndarray, scratch=None) -> Tensor:
         """Weighted per-node fit: squared error for continuous nodes,
         cross entropy for categorical ones; mean over the batch.  The loss
         holds its gradient for every sub-network parameter; with no
-        sub-network it is 0 with no gradient."""
+        sub-network it is 0 with no gradient.  Every sub-network's forward and
+        backward take their row-sized arrays from ``scratch`` (fresh ones when
+        None)."""
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (x.shape[0],):
             raise ModelError(
@@ -214,11 +216,12 @@ class StructuredModel:
         for name, columns in self._parent_columns.items():
             layers = self.params.group(name)
             head, _ = self._head(name)
-            hs, out = mlp_activations(layers, x[:, columns], head)
+            hs, out = mlp_activations(layers, x[:, columns], head, scratch)
             term, grad_out = self._fit_term(name, out, self._observed_block(x, name), g_row)
             per_row = term if per_row is None else per_row + term
             params = [p for layer in layers for p in layer]
-            grads.update(zip(map(id, params), mlp_backward(layers, hs, out, head, grad_out)))
+            layer_grads = mlp_backward(layers, hs, out, head, grad_out, scratch)
+            grads.update(zip(map(id, params), layer_grads))
         if per_row is None:  # no node to fit: the critic trains alone
             return Tensor(0.0, grads)
         return Tensor((w_col * per_row).sum() * scale, grads)

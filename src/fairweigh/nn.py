@@ -8,7 +8,8 @@ runs a large input in blocks of :data:`BLOCK_ROWS` rows, so a pass over a
 whole training split holds each layer's activations for one block at a time
 instead of for every row.  :func:`mlp_backward` turns a loss's gradient
 at the head into parameter gradients; :func:`critic_loss` is a critic's whole
-loss with its gradient, its row-sized arrays taken from a :class:`Scratch`.
+loss with its gradient.  The training forwards and backwards take their
+row-sized arrays from a :class:`Scratch` that repeated steps share.
 Updates are plain momentum SGD or Adam, and the learning-rate schedule decays
 polynomially with training progress.
 """
@@ -144,14 +145,17 @@ class Scratch:
 
 
 def mlp_activations(
-    layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: str
+    layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: str,
+    scratch: Scratch | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The tanh activations h_0 = x, ..., h_{L-1} of a batch and the output of
-    the requested head, as :func:`mlp_backward` takes them."""
+    the requested head, as :func:`mlp_backward` takes them.  The activations
+    are written into ``scratch`` (fresh arrays when None), so they stay valid
+    only until its next use."""
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
     weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
-    hs = _forward(weights, biases, x, Scratch())
+    hs = _forward(weights, biases, x, Scratch() if scratch is None else scratch)
     z = _matmul(hs[-1], weights[-1]) + biases[-1]
     if head == "linear":
         return hs, z
@@ -178,10 +182,14 @@ def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: st
     return np.concatenate([mlp_activations(layers, block, head)[1] for block in blocks])
 
 
-def mlp_backward(layers, hs, out, head: str, grad_out: np.ndarray) -> list[np.ndarray]:
+def mlp_backward(
+    layers, hs, out, head: str, grad_out: np.ndarray, scratch: Scratch | None = None
+) -> list[np.ndarray]:
     """Gradients W_1, b_1, ..., W_L, b_L of a loss whose gradient at the head
     output ``out`` of :func:`mlp_activations` (with activations ``hs``) is
-    ``grad_out``: through the head, then one backward sweep."""
+    ``grad_out``: through the head, then one backward sweep, its row-sized
+    arrays taken from ``scratch`` (fresh ones when None).  The gradients are
+    fresh arrays."""
     weights = [w.data for w, _ in layers]
     if head == "logistic":
         grad_out = grad_out * out * (1.0 - out)
@@ -190,7 +198,7 @@ def mlp_backward(layers, hs, out, head: str, grad_out: np.ndarray) -> list[np.nd
     grad_w = [np.zeros_like(w) for w in weights[:-1]] + [_matmul(hs[-1].T, grad_out)]
     grad_b = [np.zeros_like(b.data) for _, b in layers[:-1]] + [grad_out.sum(axis=0)]
     if len(hs) > 1:
-        scratch = Scratch()
+        scratch = Scratch() if scratch is None else scratch
         g = _matmul(grad_out, weights[-1].T)
         _sweep(weights, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
     return [g for pair in zip(grad_w, grad_b) for g in pair]

@@ -13,7 +13,7 @@ effect estimate reuses it with the solved weights.  The critic read-outs of
 the weight solve also give the epoch's rescaled critic gap under the solved
 weights, so :func:`repeat_protocol` reports the last epoch's effect and gap
 without a further cascade.  Every loss holds its closed-form gradients; each
-loop of critic steps writes its row-sized arrays into one
+loop of fit and critic steps writes its row-sized arrays into one
 :class:`~fairweigh.nn.Scratch` sized by the batch.
 """
 
@@ -145,8 +145,8 @@ class _Loop:
         self.last_penalty = 0.0
         self.last_critic_gap = 0.0
 
-    def fit_step(self, idx: np.ndarray) -> float:
-        loss = self.model.fit_loss(self.x[idx], self.weights[idx])
+    def fit_step(self, idx: np.ndarray, scratch: Scratch) -> float:
+        loss = self.model.fit_loss(self.x[idx], self.weights[idx], scratch)
         if not np.isfinite(loss.data):
             raise FloatingPointError("non-finite fit loss")
         grads = backward(loss, self.fit_params)
@@ -230,9 +230,9 @@ def train(
         started = time.perf_counter()
         losses: list[float] = []
         try:
-            scratch = Scratch(config.batch_size)  # one per loop of critic steps
+            scratch = Scratch(config.batch_size)  # one per loop of steps
             for i, idx in enumerate(_batches(ds.m, config.batch_size, loop.batch_rng)):
-                losses.append(loop.fit_step(idx))
+                losses.append(loop.fit_step(idx, scratch))
                 if (i + 1) % config.fit_steps_per_critic_step == 0:
                     loop.critic_step(loop.batch_pair(idx), scratch)
             del scratch

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairweigh import effects
 from fairweigh.data import Column, ColumnarDataset, DataError, Encoder
 from fairweigh.effects import (
     counterfactual_effect,
@@ -10,6 +11,7 @@ from fairweigh.effects import (
     path_specific_effect,
     statistical_parity,
     total_effect,
+    wasserstein_distance,
     wasserstein_estimate,
 )
 from fairweigh.graph import PathSet, counterfactual_path_set, total_path_set
@@ -156,6 +158,30 @@ def test_wasserstein_mass_concentration_increases_distance():
     concentrated_w = np.concatenate([np.full(800, 2.0), np.zeros(800)])
     concentrated = wasserstein_estimate(modes, modes, concentrated_w, seed=1, steps=700)
     assert concentrated > uniform
+
+
+def test_wasserstein_on_reweighted_rows_encodes_and_reads_out_once(bench_small, monkeypatch):
+    """Both callers pass a dataset and itself reweighted: the rows are
+    encoded once and the trained critic reads them out once, and the
+    distance is the one of two separate copies, bit for bit."""
+    _, ds, enc, _ = bench_small
+    w = np.random.default_rng(2).uniform(0.0, 2.0, ds.m)
+    x = enc.transform(ds)
+    two_copies = wasserstein_estimate(x, x.copy(), w, seed=3, steps=40)
+
+    calls = {"transform": 0, "mlp_forward": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Encoder, "transform", counted("transform", Encoder.transform))
+    monkeypatch.setattr(effects, "mlp_forward", counted("mlp_forward", effects.mlp_forward))
+    distance = wasserstein_distance(ds, ds.replace_weights(w), enc, seed=3, steps=40)
+    assert distance == two_copies
+    assert calls == {"transform": 1, "mlp_forward": 1}
 
 
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])

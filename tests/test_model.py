@@ -16,7 +16,7 @@ from fairweigh.graph import (
     total_path_set,
 )
 from fairweigh.model import ModelError, Pair, StructuredModel, condition_mask
-from fairweigh.nn import Adam, finite_difference, layer_sizes, save_params
+from fairweigh.nn import Adam, Scratch, finite_difference, layer_sizes, save_params
 from fairweigh.synth import benchmark_scm, generate, parse_scm
 
 from conftest import all_groups_checkpoint, every_non_root_store, relative_error
@@ -146,6 +146,24 @@ def test_fit_loss_zero_weights_and_linearity():
     row_loss = float(model.fit_loss(x[3:4], np.ones(1)).data)
     bumped = float(model.fit_loss(x, w).data)
     assert abs((bumped - base) - row_loss / ds.m) < 1e-12
+
+
+def test_fit_loss_reused_scratch_changes_no_bit(bench_small):
+    """One scratch across both sub-networks (med and y), deeper than the
+    batch and last used on other rows, gives the loss and gradients of
+    fresh arrays."""
+    scm, ds, enc, model = bench_small
+    assert model.sub_network_nodes == ("med", "y")
+    x = enc.transform(ds)
+    w = np.random.default_rng(5).uniform(0.5, 2.0, ds.m)
+    params = model.params.parameters(model.sub_network_nodes)
+    fresh = model.fit_loss(x[:100], w[:100])
+    scratch = Scratch(128)
+    model.fit_loss(x[200:328], w[200:328], scratch)
+    reused = model.fit_loss(x[:100], w[:100], scratch)
+    assert reused.data == fresh.data
+    for g, r in zip(backward(reused, params), backward(fresh, params)):
+        assert np.array_equal(g, r)
 
 
 def test_fit_loss_rejects_negative_weights():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from fairweigh.graph import (
     total_path_set,
 )
 from fairweigh.synth import (
+    ORACLE_BLOCK,
     _cascade,
+    _condition_mask,
     _draw_noise,
+    _path_specific_outcome,
     benchmark_scm,
     generate,
     oracle_effect,
@@ -230,3 +235,116 @@ def test_benchmark_default_has_material_effect():
     scm = benchmark_scm(seed=0)
     te, _ = oracle_effect(scm, total_path_set(scm.graph), n=200_000, seed=0)
     assert te >= 0.15
+
+
+# A binary mediator m on the route s -> m -> y, and a binary side node w of s
+# that the outcome does not read, declared (and sorted) before m and y.
+SIDE_NODE_DOC = """
+[nodes]
+x1 continuous
+s categorical 2
+w categorical 2
+m categorical 2
+y categorical 2
+[edges]
+x1 -> s
+s -> w
+x1 -> m
+s -> m
+x1 -> y
+s -> y
+m -> y
+[roles]
+sensitive s
+outcome y
+[functions]
+x1 = normal(0, 1)
+s = bernoulli(logistic(0.8*x1))
+w = bernoulli(logistic(1.5*s - 0.5))
+m = bernoulli(logistic(2.5*s + x1 - 1.5))
+y = bernoulli(logistic(0.5*s + 4*m + 1.5*x1 - 2.5))
+"""
+
+
+def full_array_oracle(scm, ps, n, seed):
+    """The oracle with every node's noise and one pass over all n draws:
+    (estimate, stderr), or None when no draw matches the condition."""
+    noise = _draw_noise(scm, n, np.random.default_rng(seed))
+    route = ps if ps.mode == "path_specific" else total_path_set(scm.graph)
+    p_plus, p_minus = _path_specific_outcome(scm, route, noise, n)
+    diff = p_plus - p_minus
+    if ps.mode == "counterfactual":
+        observed, _ = _cascade(scm, noise, n, do_sensitive=None)
+        diff = diff[_condition_mask(observed, ps.condition)]
+        if diff.size == 0:
+            return None
+    return float(diff.mean()), float(diff.std(ddof=0) / np.sqrt(diff.size))
+
+
+def assert_oracle_is_full_array_oracle(scm, ps, n, seed):
+    expected = full_array_oracle(scm, ps, n, seed)
+    if expected is None:
+        with pytest.raises(GraphError, match="no draws match"):
+            oracle_effect(scm, ps, n=n, seed=seed)
+    else:
+        assert oracle_effect(scm, ps, n=n, seed=seed) == expected
+
+
+BENCHMARK_MODES = {
+    "total": total_path_set,
+    "indirect": indirect_path_set,
+    "counterfactual": lambda g: counterfactual_path_set(g, [("x2", "0")]),
+}
+
+
+@pytest.mark.parametrize(
+    "n", [1, ORACLE_BLOCK - 1, ORACLE_BLOCK, ORACLE_BLOCK + 1, 2 * ORACLE_BLOCK + 1]
+)
+@pytest.mark.parametrize("mode", sorted(BENCHMARK_MODES))
+def test_lean_oracle_is_the_full_array_oracle_bit_for_bit(mode, n):
+    """Keeping only the noise the contrast reads, and cascading in blocks,
+    changes no bit of the estimate or its standard error, whatever the last
+    block holds."""
+    scm = benchmark_scm(seed=2)
+    assert_oracle_is_full_array_oracle(scm, BENCHMARK_MODES[mode](scm.graph), n, seed=9)
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [[("m", "1")], [("w", "1")], [("w", "0"), ("m", "1")]],
+    ids=["descendant-of-s", "outside-ancestry", "both"],
+)
+def test_lean_oracle_reads_the_noise_of_the_condition(condition):
+    """A condition on m (a descendant of s) needs s's noise, which the
+    clamped contrast never reads; one on w needs a node outside the outcome's
+    ancestry."""
+    scm = parse_scm(SIDE_NODE_DOC, seed=0)
+    ps = counterfactual_path_set(scm.graph, condition)
+    assert_oracle_is_full_array_oracle(scm, ps, 2 * ORACLE_BLOCK + 1, seed=4)
+
+
+@pytest.mark.parametrize("mode", ["total", "indirect"])
+def test_lean_oracle_draws_past_an_unread_bernoulli_node(mode):
+    """w's uniform draw lies before m's and y's in the stream: an unread
+    node still consumes exactly its draw."""
+    scm = parse_scm(SIDE_NODE_DOC, seed=0)
+    order = scm.graph.topo_index
+    assert order["w"] < order["m"] < order["y"]
+    ps = total_path_set(scm.graph) if mode == "total" else indirect_path_set(scm.graph)
+    assert_oracle_is_full_array_oracle(scm, ps, ORACLE_BLOCK + 5, seed=1)
+
+
+@pytest.mark.parametrize("mode", sorted(BENCHMARK_MODES))
+def test_oracle_memory_is_the_read_noise_plus_one_block(mode):
+    """At 200k draws the oracle holds the noise of the four nodes it reads,
+    the per-draw contrasts and one block: about 10 MB, where keeping every
+    node's noise and cascading all draws at once took 34-40 MB."""
+    scm = benchmark_scm(seed=1)
+    ps = BENCHMARK_MODES[mode](scm.graph)
+    tracemalloc.start()
+    try:
+        oracle_effect(scm, ps, n=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
