@@ -110,7 +110,8 @@ def load_csv(path, schema: Sequence[tuple[str, str]]) -> ColumnarDataset:
 
     The header must contain every schema column; extra file columns are
     ignored.  Cells are parsed strictly: a non-numeric value in a continuous
-    column or an empty cell fails with the offending row and column named.
+    column, a NUL character in a categorical one or an empty cell fails with
+    the offending row and column named.
     """
     names = [n for n, _ in schema]
     kinds = dict(schema)
@@ -144,6 +145,11 @@ def load_csv(path, schema: Sequence[tuple[str, str]]) -> ColumnarDataset:
                             f"{path}: cannot parse {cell!r} as number at row "
                             f"{row_number}, column {name!r}"
                         ) from None
+                elif "\x00" in cell:  # a str array would drop a trailing NUL
+                    raise DataError(
+                        f"{path}: NUL character in categorical value at row "
+                        f"{row_number}, column {name!r}"
+                    )
                 else:
                     raw[name].append(cell)
 
@@ -184,8 +190,14 @@ class Encoder:
         continuous = [c for c in ds.columns if c.kind == CONTINUOUS]
         categorical = [c for c in ds.columns if c.kind == CATEGORICAL]
         for col in continuous:
-            mean = float(np.mean(col.values))
-            std = float(np.std(col.values))  # population convention
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                mean = float(np.mean(col.values))
+                std = float(np.std(col.values))  # population convention
+            if not (np.isfinite(mean) and np.isfinite(std)):
+                raise DataError(
+                    f"column {col.name!r} has mean {mean} and standard deviation {std}; "
+                    "cannot z-score a nan or inf value or a variance that overflows"
+                )
             if std == 0.0:
                 raise DataError(f"column {col.name!r} has zero variance; cannot z-score")
             self._stats[col.name] = (mean, std)

@@ -12,6 +12,14 @@ loss with its gradient.  The training forwards and backwards take their
 row-sized arrays from a :class:`Scratch` that repeated steps share.
 Updates are plain momentum SGD or Adam, and the learning-rate schedule decays
 polynomially with training progress.
+
+The kernels make as few passes over row-sized arrays as they can, by three
+rules: the first layer's bias is folded into its product, h_1 =
+tanh([x, 1] [W_1; b_1]), so a narrow input (the critic's is one column) needs
+no broadcast product and bias add; a sum over rows (a bias gradient) is the
+product ``ones @ a``, which BLAS does several times faster than
+``a.sum(axis=0)``; and each call builds the contiguous W_l^T once for all its
+products ``a W_l^T`` instead of reading a transposed view in each.
 """
 
 from __future__ import annotations
@@ -112,10 +120,11 @@ def layer_sizes(
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b``; at inner dimension 1 the exact outer product ``a * b``,
-    which BLAS computes several times slower than a wider product."""
+    """``a @ b``.  At inner dimension 1, an outer product, ``np.matmul`` takes
+    several times longer than ``np.dot`` (61 against 13 us at 640 x 32 on one
+    core); both form each entry as the one exact multiplication."""
     if a.shape[1] == 1:
-        return np.multiply(a, b, out=out)
+        return np.dot(a, b, out=out)
     return np.matmul(a, b, out=out)
 
 
@@ -137,11 +146,24 @@ class Scratch:
         self.rows = rows
         self._buffers: dict = {}
 
-    def take(self, key, rows: int, width: int) -> np.ndarray:
+    def take(self, key, rows: int, width: int, fill: float | None = None) -> np.ndarray:
+        """A ``(rows, width)`` view; a new buffer starts as ``fill`` when given."""
         buffer = self._buffers.get(key)
         if buffer is None or buffer.shape[0] < rows or buffer.shape[1] != width:
-            buffer = self._buffers[key] = np.empty((max(rows, self.rows), width))
+            shape = (max(rows, self.rows), width)
+            buffer = np.empty(shape) if fill is None else np.full(shape, fill)
+            self._buffers[key] = buffer
         return buffer[:rows]
+
+    def ones(self, rows: int) -> np.ndarray:
+        """``rows`` ones: a row sum ``a.sum(axis=0)`` as the product ``ones @ a``."""
+        return self.take("ones", rows, 1, 1.0)[:, 0]
+
+    def with_ones(self, x: np.ndarray) -> np.ndarray:
+        """``[x, 1]``: ``x`` copied into a buffer whose last column is one."""
+        out = self.take(("x1", x.shape[1]), len(x), x.shape[1] + 1, 1.0)
+        out[:, :-1] = x
+        return out
 
 
 def mlp_activations(
@@ -155,7 +177,8 @@ def mlp_activations(
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
     weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
-    hs = _forward(weights, biases, x, Scratch() if scratch is None else scratch)
+    scratch = Scratch() if scratch is None else scratch
+    hs = _forward(weights, biases, np.vstack([weights[0], biases[0]]), x, scratch)
     z = _matmul(hs[-1], weights[-1]) + biases[-1]
     if head == "linear":
         return hs, z
@@ -169,17 +192,19 @@ def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: st
     """Run a batch through tanh hidden layers and the requested output head.
 
     The rows run in blocks of :data:`BLOCK_ROWS` whose head outputs are
-    concatenated, so only one block's activations are held at a time; an
-    input of at most ``BLOCK_ROWS`` rows is one block.  Rows are independent,
-    but the rounding of a matrix product can depend on its shape: blocks
-    start at multiples of ``BLOCK_ROWS`` (keeping rows aligned as in one
-    pass), and a last single row joins the block before it (a one-row
-    product runs as a matrix-vector product).  On the benchmark's nets the
-    output is then bit-identical to one pass; for some head widths and row
-    counts BLAS picks another kernel and the last bits may differ.
+    concatenated, so only one block's activations are held at a time, in one
+    :class:`Scratch` that the blocks share; an input of at most
+    ``BLOCK_ROWS`` rows is one block.  Rows are independent, but the rounding
+    of a matrix product can depend on its shape: blocks start at multiples of
+    ``BLOCK_ROWS`` (keeping rows aligned as in one pass), and a last single
+    row joins the block before it (a one-row product runs as a matrix-vector
+    product).  On the benchmark's nets the output is then bit-identical to
+    one pass; for some head widths and row counts BLAS picks another kernel
+    and the last bits may differ.
     """
     blocks = np.split(x, range(BLOCK_ROWS, len(x) - 1, BLOCK_ROWS))
-    return np.concatenate([mlp_activations(layers, block, head)[1] for block in blocks])
+    scratch = Scratch(min(len(x), BLOCK_ROWS + 1))
+    return np.concatenate([mlp_activations(layers, block, head, scratch)[1] for block in blocks])
 
 
 def mlp_backward(
@@ -191,25 +216,32 @@ def mlp_backward(
     arrays taken from ``scratch`` (fresh ones when None).  The gradients are
     fresh arrays."""
     weights = [w.data for w, _ in layers]
+    scratch = Scratch() if scratch is None else scratch
     if head == "logistic":
         grad_out = grad_out * out * (1.0 - out)
     elif head == "softmax":
         grad_out = out * (grad_out - (grad_out * out).sum(axis=1, keepdims=True))
     grad_w = [np.zeros_like(w) for w in weights[:-1]] + [_matmul(hs[-1].T, grad_out)]
-    grad_b = [np.zeros_like(b.data) for _, b in layers[:-1]] + [grad_out.sum(axis=0)]
+    grad_b = [np.zeros_like(b.data) for _, b in layers[:-1]]
+    grad_b.append(scratch.ones(len(grad_out)) @ grad_out)
     if len(hs) > 1:
-        scratch = Scratch() if scratch is None else scratch
-        g = _matmul(grad_out, weights[-1].T)
-        _sweep(weights, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
+        wts = [np.ascontiguousarray(w.T) for w in weights]
+        g = _matmul(grad_out, wts[-1], out=scratch.take(("g", len(hs) - 1), *hs[-1].shape))
+        _sweep(wts, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
     return [g for pair in zip(grad_w, grad_b) for g in pair]
 
 
-def _forward(weights, biases, x, scratch: Scratch) -> list[np.ndarray]:
-    """Activations h_0 = x and h_l = tanh(h_{l-1} W_l + b_l), l < L."""
+def _forward(weights, biases, first, x, scratch: Scratch) -> list[np.ndarray]:
+    """Activations h_0 = x and h_l = tanh(h_{l-1} W_l + b_l), l < L; h_1 as
+    tanh([x, 1] ``first``) with ``first`` = [W_1; b_1], the bias as a last row."""
     hs = [np.asarray(x, dtype=np.float64)]
-    for l, (weight, bias) in enumerate(zip(weights[:-1], biases[:-1]), 1):
-        h = _matmul(hs[-1], weight, out=scratch.take(("h", l), len(hs[0]), weight.shape[1]))
-        np.add(h, bias, out=h)
+    rows = len(hs[0])
+    for l in range(1, len(weights)):
+        h = scratch.take(("h", l), rows, weights[l - 1].shape[1])
+        if l == 1:
+            np.matmul(scratch.with_ones(hs[0]), first, out=h)
+        else:
+            np.add(np.matmul(hs[-1], weights[l - 1], out=h), biases[l - 1], out=h)
         hs.append(np.tanh(h, out=h))
     return hs
 
@@ -223,21 +255,25 @@ def _slopes(hs, scratch: Scratch) -> list[np.ndarray | None]:
     return slopes
 
 
-def _sweep(weights, hs, slopes, g, inject, grad_w, grad_b, scratch: Scratch) -> None:
-    """Adds the gradients of W_l and b_l, l < L, through the forward ``hs`` to
-    ``grad_w`` and ``grad_b``, from ``g`` at h_{L-1} plus ``inject[l]`` at h_l."""
+def _sweep(wts, hs, slopes, g, inject, grad_w, grad_b, scratch: Scratch, scale=1.0) -> None:
+    """Adds ``scale`` times the gradients of W_l and b_l, l < L, through the
+    forward ``hs`` to ``grad_w`` and ``grad_b``, from ``g`` at h_{L-1} (None
+    for zero) plus ``inject[l]`` at h_l; ``wts`` are the contiguous W_l^T."""
+    ones = scratch.ones(len(hs[0]))
     for l in range(len(hs) - 1, 0, -1):
         a = scratch.take(("a", l), *hs[l].shape)
-        if inject is not None:
+        if g is None:
+            g = inject[l]
+        elif inject is not None:
             g = np.add(g, inject[l], out=a)
         np.multiply(g, slopes[l], out=a)
-        grad_w[l - 1] += hs[l - 1].T @ a
-        grad_b[l - 1] += a.sum(axis=0)
+        grad_w[l - 1] += scale * (hs[l - 1].T @ a)
+        grad_b[l - 1] += scale * (ones @ a)
         if l > 1:
-            g = np.matmul(a, weights[l - 1].T, out=scratch.take(("g", l - 1), *hs[l - 1].shape))
+            g = np.matmul(a, wts[l - 1], out=scratch.take(("g", l - 1), *hs[l - 1].shape))
 
 
-def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b, scratch: Scratch) -> float:
+def _penalty(weights, wts, hs, slopes, scale: float, grad_w, grad_b, scratch: Scratch) -> float:
     """Mean (||grad_x critic(x_hat)|| - 1)^2 over the rows of x_hat = h_0;
     adds ``scale`` times its parameter gradient to ``grad_w`` and ``grad_b``.
 
@@ -249,11 +285,13 @@ def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b, scratch: Scratch
     - Value: n = sqrt(||r_0||^2 + 1e-24) per row (the epsilon keeps the norm
       differentiable at a zero gradient); the penalty is mean((n - 1)^2).
     - Gradient through the chain: start from R = (2/B) (n - 1)/n * r_0.  For
-      l = 1..L-1: dW_l += R^T rho_l, Q = R W_l, D_l = -2 Q * r_l * h_l,
+      l = 1..L-1: dW_l += R^T rho_l, Q = R W_l, D_l = Q * r_l * h_l,
       R = Q * (1 - h_l^2).  Then dW_L[:, 0] += sum over rows of R.
     - Gradient through the forward, with D_l injected: start from G = 0.  For
-      l = L-1..1: A = (G + D_l) * (1 - h_l^2), dW_l += h_{l-1}^T A,
-      db_l += sum over rows of A, G = A W_l^T.  db_L is 0.
+      l = L-1..1: A = (G + D_l) * (1 - h_l^2), dW_l += -2 h_{l-1}^T A,
+      db_l += -2 (sum over rows of A), G = A W_l^T.  db_L is 0.  The sweep is
+      linear in the D_l, so the -2 of d(1 - h^2)/dh = -2h scales its
+      gradients instead of every row of every D_l.
     """
     depth = len(weights) - 1
     rows = hs[0].shape[0]
@@ -262,21 +300,19 @@ def _penalty(weights, hs, slopes, scale: float, grad_w, grad_b, scratch: Scratch
     rho = [None] * (depth + 1)
     for l in range(depth, 0, -1):
         rho[l] = np.multiply(r[l], slopes[l], out=scratch.take(("rho", l), *hs[l].shape))
-        r[l - 1] = scratch.take(("r", l - 1), *hs[l - 1].shape)
-        np.matmul(rho[l], weights[l - 1].T, out=r[l - 1])
+        r[l - 1] = np.matmul(rho[l], wts[l - 1], out=scratch.take(("r", l - 1), *hs[l - 1].shape))
     norm = np.sqrt((r[0] * r[0]).sum(axis=1, keepdims=True) + 1e-24)
     value = ((norm - 1.0) ** 2.0).sum() * (1.0 / float(rows))
     inject = [None] * (depth + 1)
     big_r = (scale * 2.0 / rows) * (norm - 1.0) / norm * r[0]
     for l in range(1, depth + 1):
         grad_w[l - 1] += big_r.T @ rho[l]
-        q = np.matmul(big_r, weights[l - 1], out=scratch.take(("q", l), *hs[l].shape))
-        inject[l] = np.multiply(-2.0, q, out=scratch.take(("inject", l), *hs[l].shape))
-        np.multiply(inject[l], r[l], out=inject[l])
+        q = _matmul(big_r, weights[l - 1], out=scratch.take(("q", l), *hs[l].shape))
+        inject[l] = np.multiply(q, r[l], out=scratch.take(("inject", l), *hs[l].shape))
         np.multiply(inject[l], hs[l], out=inject[l])
         big_r = np.multiply(q, slopes[l], out=q)
-    grad_w[depth] += big_r.sum(axis=0).reshape(-1, 1)
-    _sweep(weights, hs, slopes, 0.0, inject, grad_w, grad_b, scratch)
+    grad_w[depth] += (scratch.ones(rows) @ big_r).reshape(-1, 1)
+    _sweep(wts, hs, slopes, None, inject, grad_w, grad_b, scratch, -2.0)
     return float(value)
 
 
@@ -296,26 +332,34 @@ def critic_loss(
     per row), the loss ``penalty_coef`` times the :func:`_penalty` at
     ``x_hat`` minus the objective.  Each input runs its own forward, and each
     forward of the objective one backward sweep.  The row-sized arrays of all
-    of them come from ``scratch`` (fresh ones when None)."""
+    of them come from ``scratch`` (fresh ones when None).
+
+    Per objective input, v = sum_i coef_i h_{L-1,i} (one matrix-vector
+    product) gives both the objective term v w_L + b_L sum_i coef_i and the
+    head's weight gradient."""
     scratch = Scratch() if scratch is None else scratch
     weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
     if weights[-1].shape[1] != 1:
         raise ValueError(f"the critic needs a head of width 1, got {weights[-1].shape[1]}")
+    first = np.vstack([weights[0], biases[0]])
+    wts = [np.ascontiguousarray(w.T) for w in weights]  # for the products a W_l^T
     grad_w, grad_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
     objective = 0.0
     for x, sign in ((x_high, 1.0), (x_low, -1.0)):
-        hs = _forward(weights, biases, x, scratch)
-        c = np.broadcast_to(np.reshape(coef, (-1, 1)), (hs[0].shape[0], 1))
-        objective += sign * float((c * (_matmul(hs[-1], weights[-1]) + biases[-1])).sum())
-        top = -sign * c  # the loss's gradient at the head's output
-        grad_w[-1] += hs[-1].T @ top
-        grad_b[-1] += top.sum(axis=0)
-        if len(hs) > 1:
+        hs = _forward(weights, biases, first, x, scratch)
+        ones = scratch.ones(len(hs[0]))
+        c = ones * np.reshape(coef, -1)
+        v, total = c @ hs[-1], ones @ c
+        objective += sign * (float(v @ weights[-1][:, 0]) + float(biases[-1][0]) * total)
+        grad_w[-1][:, 0] -= sign * v
+        grad_b[-1] -= sign * total
+        if len(hs) > 1:  # the loss's gradient at h_{L-1}: -sign coef_i w_L
             g = scratch.take(("g", len(hs) - 1), *hs[-1].shape)
-            np.multiply(top, weights[-1][:, 0], out=g)
-            _sweep(weights, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
-    hs = _forward(weights, biases, x_hat, scratch)
-    penalty = _penalty(weights, hs, _slopes(hs, scratch), penalty_coef, grad_w, grad_b, scratch)
+            _matmul(c.reshape(-1, 1), -sign * weights[-1].T, out=g)
+            _sweep(wts, hs, _slopes(hs, scratch), g, None, grad_w, grad_b, scratch)
+    hs = _forward(weights, biases, first, x_hat, scratch)
+    slopes = _slopes(hs, scratch)
+    penalty = _penalty(weights, wts, hs, slopes, penalty_coef, grad_w, grad_b, scratch)
     params = [p for layer in layers for p in layer]
     grads = [g for pair in zip(grad_w, grad_b) for g in pair]
     loss = Tensor(penalty_coef * penalty - objective, dict(zip(map(id, params), grads)))
@@ -423,29 +467,3 @@ def load_params(path) -> tuple[ParamStore, dict]:
     except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"not a parameter archive ({exc})") from None
 
-
-def finite_difference(fn, params: Sequence[Tensor], step: float = 1e-5) -> list[np.ndarray]:
-    """Central finite-difference gradient of scalar ``fn()`` in ``params``.
-
-    Used by tests as the independent oracle against the closed-form
-    gradients: it reads only the values of ``fn()``, a loss or a float.
-    """
-    def evaluate() -> float:
-        value = fn()
-        return float(value.data) if isinstance(value, Tensor) else float(value)
-
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.ravel()
-        gflat = g.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            f_plus = evaluate()
-            flat[j] = orig - step
-            f_minus = evaluate()
-            flat[j] = orig
-            gflat[j] = (f_plus - f_minus) / (2.0 * step)
-        grads.append(g)
-    return grads

@@ -1,6 +1,9 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
 
+from fairweigh.autodiff import Tensor
 from fairweigh.data import Encoder
 from fairweigh.graph import graph_fingerprint, parse_graph, total_path_set
 from fairweigh.model import StructuredModel
@@ -100,3 +103,30 @@ def all_groups_checkpoint(model, path):
     store.groups["critic"] = model.params.group("critic")
     meta = {"graph": graph_fingerprint(model.graph), "mode": model._mode_header()}
     save_params(store, path, meta)
+
+
+def finite_difference(fn, params: Sequence[Tensor], step: float = 1e-5) -> list[np.ndarray]:
+    """Central finite-difference gradient of scalar ``fn()`` in ``params``.
+
+    Used by tests as the independent oracle against the closed-form
+    gradients: it reads only the values of ``fn()``, a loss or a float.
+    """
+    def evaluate() -> float:
+        value = fn()
+        return float(value.data) if isinstance(value, Tensor) else float(value)
+
+    grads = []
+    for p in params:
+        g = np.zeros_like(p.data)
+        flat = p.data.ravel()
+        gflat = g.ravel()
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            f_plus = evaluate()
+            flat[j] = orig - step
+            f_minus = evaluate()
+            flat[j] = orig
+            gflat[j] = (f_plus - f_minus) / (2.0 * step)
+        grads.append(g)
+    return grads

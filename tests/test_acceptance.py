@@ -31,12 +31,11 @@ from fairweigh.graph import (
     total_path_set,
 )
 from fairweigh.model import Pair, StructuredModel
-from fairweigh.nn import finite_difference
 from fairweigh.reweighter import check_feasibility, solve_weights
 from fairweigh.synth import benchmark_document, benchmark_scm, generate, oracle_effect
 from fairweigh.trainer import TrainConfig, train
 
-from conftest import NO_PATH_DOC, relative_error
+from conftest import NO_PATH_DOC, finite_difference, relative_error
 from test_reweighter import grid_search_optimum
 
 ORACLE_SAMPLES = 1_000_000

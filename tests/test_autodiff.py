@@ -11,7 +11,6 @@ from fairweigh.nn import (
     ParamStore,
     _matmul,
     critic_loss,
-    finite_difference,
     gradient_penalty,
     layer_sizes,
     mlp_activations,
@@ -19,7 +18,7 @@ from fairweigh.nn import (
     mlp_forward,
 )
 
-from conftest import relative_error
+from conftest import finite_difference, relative_error
 
 
 def random_net(seed, sizes=((3, 8), (8, 8), (8, 1))):

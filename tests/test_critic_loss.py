@@ -14,12 +14,11 @@ from fairweigh.nn import (  # noqa: E402
     ParamStore,
     Scratch,
     critic_loss,
-    finite_difference,
     layer_sizes,
     mlp_forward,
 )
 
-from conftest import relative_error  # noqa: E402
+from conftest import finite_difference, relative_error  # noqa: E402
 
 
 @st.composite

@@ -97,6 +97,25 @@ def test_zero_variance_continuous_rejected():
         Encoder().fit(ds)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[1.7e308, -1.7e308, 1.0], [1.0, float("nan"), 2.0], [1.0, float("inf"), 2.0]],
+    ids=["variance-overflows", "nan-cell", "inf-cell"],
+)
+def test_non_finite_continuous_statistics_rejected(values):
+    ds = ColumnarDataset([Column("v", "continuous", np.array(values))])
+    with pytest.raises(DataError, match="column 'v' has mean .* cannot z-score"):
+        Encoder().fit(ds)
+
+
+def test_load_csv_rejects_nul_in_categorical_cell(tmp_path):
+    """A str array drops a trailing NUL, which would merge the level x + NUL
+    with the level x."""
+    path = write_csv(tmp_path / "d.csv", "g,v\nx,1\nx\x00,2\n")
+    with pytest.raises(DataError, match=r"NUL .* row 3, column 'g'"):
+        load_csv(path, [("g", "categorical"), ("v", "continuous")])
+
+
 def test_unseen_level_rejected_at_transform():
     train = ColumnarDataset([Column("g", "categorical", np.array(["a", "b"]))])
     test = ColumnarDataset([Column("g", "categorical", np.array(["c"]))])

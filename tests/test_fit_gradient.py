@@ -13,9 +13,8 @@ from fairweigh.autodiff import backward  # noqa: E402
 from fairweigh.data import Column, ColumnarDataset, Encoder  # noqa: E402
 from fairweigh.graph import parse_graph, total_path_set  # noqa: E402
 from fairweigh.model import StructuredModel  # noqa: E402
-from fairweigh.nn import finite_difference  # noqa: E402
 
-from conftest import relative_error  # noqa: E402
+from conftest import finite_difference, relative_error  # noqa: E402
 
 # c has a linear head, k a softmax head over three levels, y a logistic head
 GRAPH = parse_graph(

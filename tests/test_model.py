@@ -16,10 +16,15 @@ from fairweigh.graph import (
     total_path_set,
 )
 from fairweigh.model import ModelError, Pair, StructuredModel, condition_mask
-from fairweigh.nn import Adam, Scratch, finite_difference, layer_sizes, save_params
+from fairweigh.nn import Adam, Scratch, layer_sizes, save_params
 from fairweigh.synth import benchmark_scm, generate, parse_scm
 
-from conftest import all_groups_checkpoint, every_non_root_store, relative_error
+from conftest import (
+    all_groups_checkpoint,
+    every_non_root_store,
+    finite_difference,
+    relative_error,
+)
 
 MINIMAL_DOC = """
 [nodes]

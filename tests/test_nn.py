@@ -10,8 +10,10 @@ from fairweigh.nn import (
     ParamStore,
     layer_sizes,
     learning_rate,
+    critic_loss,
     load_params,
     mlp_activations,
+    mlp_backward,
     mlp_forward,
     save_params,
 )
@@ -186,10 +188,150 @@ def test_forward_blocks_start_at_multiples_and_never_hold_one_row(monkeypatch, r
     seen = []
     original = nn.mlp_activations
 
-    def recorded(layers, x, head):
+    def recorded(layers, x, head, scratch=None):
         seen.append(len(x))
-        return original(layers, x, head)
+        return original(layers, x, head, scratch)
 
     monkeypatch.setattr(nn, "mlp_activations", recorded)
     mlp_forward(store.group("g"), np.zeros((rows, 2)), "linear")
     assert seen == blocks
+
+
+# A plain re-implementation of the kernels' formulas, the reference for the
+# folded, transposed and BLAS-summed forms in nn: each bias added on its own,
+# row sums by .sum(axis=0), products against transposed views and the -2 of
+# d(1 - h^2)/dh inside the penalty's injection.
+
+
+def reference_forward(weights, biases, x):
+    hs = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        hs.append(np.tanh(hs[-1] @ w + b))
+    return hs
+
+
+def reference_sweep(weights, hs, g, inject, grad_w, grad_b):
+    for l in range(len(hs) - 1, 0, -1):
+        if inject is not None:
+            g = g + inject[l]
+        a = g * (1.0 - hs[l] ** 2)
+        grad_w[l - 1] += hs[l - 1].T @ a
+        grad_b[l - 1] += a.sum(axis=0)
+        g = a @ weights[l - 1].T
+
+
+def reference_critic_loss(weights, biases, x_high, x_low, coef, x_hat, penalty_coef):
+    grad_w, grad_b = [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
+    objective = 0.0
+    for x, sign in ((x_high, 1.0), (x_low, -1.0)):
+        hs = reference_forward(weights, biases, x)
+        c = np.broadcast_to(np.reshape(coef, (-1, 1)), (len(x), 1))
+        objective += sign * float((c * (hs[-1] @ weights[-1] + biases[-1])).sum())
+        top = -sign * c
+        grad_w[-1] += hs[-1].T @ top
+        grad_b[-1] += top.sum(axis=0)
+        reference_sweep(weights, hs, top @ weights[-1].T, None, grad_w, grad_b)
+    hs = reference_forward(weights, biases, x_hat)
+    depth, rows = len(weights) - 1, len(x_hat)
+    slopes = [None] + [1.0 - h**2 for h in hs[1:]]
+    r = [None] * depth + [np.broadcast_to(weights[-1][:, 0], (rows, weights[-1].shape[0]))]
+    rho = [None] * (depth + 1)
+    for l in range(depth, 0, -1):
+        rho[l] = r[l] * slopes[l]
+        r[l - 1] = rho[l] @ weights[l - 1].T
+    norm = np.sqrt((r[0] ** 2).sum(axis=1, keepdims=True) + 1e-24)
+    penalty = float(((norm - 1.0) ** 2).mean())
+    big_r = (penalty_coef * 2.0 / rows) * (norm - 1.0) / norm * r[0]
+    inject = [None] * (depth + 1)
+    for l in range(1, depth + 1):
+        grad_w[l - 1] += big_r.T @ rho[l]
+        q = big_r @ weights[l - 1]
+        inject[l] = -2.0 * q * r[l] * hs[l]
+        big_r = q * slopes[l]
+    grad_w[depth] += big_r.sum(axis=0).reshape(-1, 1)
+    reference_sweep(weights, hs, 0.0, inject, grad_w, grad_b)
+    grads = [g for pair in zip(grad_w, grad_b) for g in pair]
+    return penalty_coef * penalty - objective, objective, penalty, grads
+
+
+def reference_mlp_backward(weights, biases, x, head, grad_out):
+    hs = reference_forward(weights, biases, x)
+    z = hs[-1] @ weights[-1] + biases[-1]
+    if head == "logistic":
+        out = 1.0 / (1.0 + np.exp(-z))
+        grad_out = grad_out * out * (1.0 - out)
+    elif head == "softmax":
+        out = np.exp(z - z.max(axis=1, keepdims=True))
+        out /= out.sum(axis=1, keepdims=True)
+        grad_out = out * (grad_out - (grad_out * out).sum(axis=1, keepdims=True))
+    grad_w = [np.zeros_like(w) for w in weights[:-1]] + [hs[-1].T @ grad_out]
+    grad_b = [np.zeros_like(b) for b in biases[:-1]] + [grad_out.sum(axis=0)]
+    reference_sweep(weights, hs, grad_out @ weights[-1].T, None, grad_w, grad_b)
+    return [g for pair in zip(grad_w, grad_b) for g in pair]
+
+
+def random_layers(seed, sizes):
+    """A net whose weights and biases are all random and non-zero."""
+    rng = np.random.default_rng(seed)
+    return [
+        (Tensor(rng.normal(size=(fan_in, fan_out)) * 0.5), Tensor(rng.normal(size=fan_out) * 0.3))
+        for fan_in, fan_out in sizes
+    ]
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    """Norm-relative agreement: the kernels round in another order."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.linalg.norm(actual - expected) <= rtol * np.linalg.norm(expected)
+
+
+KERNEL_NETS = [
+    (layer_sizes(1, (32, 32, 32), 1), 640),
+    (layer_sizes(13, (32, 32, 32), 1), 256),
+    (layer_sizes(5, (), 1), 64),
+]
+
+
+@pytest.mark.parametrize("per_row", [True, False])
+@pytest.mark.parametrize("sizes, rows", KERNEL_NETS)
+def test_critic_loss_matches_the_reference_formulas(sizes, rows, per_row):
+    layers = random_layers(rows, sizes)
+    rng = np.random.default_rng(len(sizes))
+    x_high, x_low, x_hat = (rng.normal(size=(rows, sizes[0][0])) for _ in range(3))
+    coef = rng.random(rows) / rows if per_row else 1.0 / rows
+    loss, objective, penalty = critic_loss(layers, x_high, x_low, coef, x_hat, 10.0)
+    weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
+    want = reference_critic_loss(weights, biases, x_high, x_low, coef, x_hat, 10.0)
+    for got, expected in zip((loss.data, objective, penalty), want):
+        assert_close(got, expected)
+    params = [p for layer in layers for p in layer]
+    for p, expected in zip(params, want[3]):
+        assert_close(loss.grads[id(p)], expected)
+
+
+@pytest.mark.parametrize("head, width", [("linear", 1), ("logistic", 1), ("softmax", 3)])
+@pytest.mark.parametrize("sizes, rows", KERNEL_NETS)
+def test_mlp_backward_matches_the_reference_formulas(sizes, rows, head, width):
+    sizes = [*sizes[:-1], (sizes[-1][0], width)]
+    layers = random_layers(rows + width, sizes)
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(rows, sizes[0][0]))
+    grad_out = rng.normal(size=(rows, width))
+    hs, out = mlp_activations(layers, x, head)
+    grads = mlp_backward(layers, hs, out, head, grad_out)
+    weights, biases = [w.data for w, _ in layers], [b.data for _, b in layers]
+    want = reference_mlp_backward(weights, biases, x, head, grad_out)
+    assert len(grads) == len(want)
+    for got, expected in zip(grads, want):
+        assert_close(got, expected)
+
+
+@pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 1])
+def test_one_wide_blocked_forward_with_biases_matches_one_pass(rows):
+    """The folded first layer [x, 1] [W_1; b_1] keeps blocks equal to one pass."""
+    layers = random_layers(3, layer_sizes(1, (32, 32, 32), 1))
+    x = np.random.default_rng(rows).random((rows, 1))
+    blocked = mlp_forward(layers, x, "linear")
+    one_pass = mlp_activations(layers, x, "linear")[1]
+    np.testing.assert_array_equal(blocked, one_pass)
