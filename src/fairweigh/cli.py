@@ -59,7 +59,13 @@ from .graph import (
 )
 from .model import ModelError, StructuredModel
 from .reweighter import SolverError
-from .synth import LABELS, generate, oracle_effect, parse_scm
+from .synth import (
+    LABELS,
+    generate,
+    oracle_effect,  # not called here; perfbench/tracing.py wraps this lookup
+    oracle_effects,
+    parse_scm,
+)
 from .trainer import TrainConfig, TrainingError, repeat_protocol, train, write_log
 
 CONFIG_KEYS = {
@@ -427,32 +433,30 @@ def cmd_effects(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    out = Path(args.out)
+    if out.is_dir():
+        raise ConfigError(f"output path is a directory, not a file: {out}")
     scm = parse_scm(_input_file(args.scm, "scm").read_text(encoding="utf-8"), seed=args.seed)
     condition = parse_condition(args.condition or [])
+    contrasts = {"total_effect": total_path_set(scm.graph)}
+    try:
+        contrasts["indirect_effect"] = indirect_path_set(scm.graph)
+    except GraphError:
+        pass
     if condition:
-        conditioned = counterfactual_path_set(scm.graph, condition, lambda _: list(LABELS))
+        contrasts["counterfactual_effect"] = counterfactual_path_set(
+            scm.graph, condition, lambda _: list(LABELS)
+        )
     ds = generate(scm, args.n)
     sidecar: dict = {"n": args.n, "seed": args.seed, "oracle_samples": args.oracle_samples}
-    te, te_se = oracle_effect(
-        scm, total_path_set(scm.graph), n=args.oracle_samples, seed=args.seed
+    effects = oracle_effects(
+        scm, list(contrasts.values()), n=args.oracle_samples, seed=args.seed
     )
-    sidecar["total_effect"] = {"value": te, "stderr": te_se}
-    try:
-        pi = indirect_path_set(scm.graph)
-    except GraphError:
-        pi = None
-    if pi is not None:
-        se, se_se = oracle_effect(scm, pi, n=args.oracle_samples, seed=args.seed)
-        sidecar["indirect_effect"] = {"value": se, "stderr": se_se}
+    for key, (value, stderr) in zip(contrasts, effects):
+        sidecar[key] = {"value": value, "stderr": stderr}
     if condition:
-        ce, ce_se = oracle_effect(scm, conditioned, n=args.oracle_samples, seed=args.seed)
-        sidecar["counterfactual_effect"] = {
-            "value": ce,
-            "stderr": ce_se,
-            "condition": [list(c) for c in condition],
-        }
-    out = Path(args.out)  # written only once every oracle has run
-    out.parent.mkdir(parents=True, exist_ok=True)
+        sidecar["counterfactual_effect"]["condition"] = [list(c) for c in condition]
+    out.parent.mkdir(parents=True, exist_ok=True)  # written only once the oracle has run
     write_csv(ds, out)
     Path(str(out) + ".oracle.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -544,6 +548,10 @@ def main(argv=None) -> int:
         return 2
     except (TrainingError, ModelError, SolverError, FloatingPointError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a crash must not exit 1, the code for "unfair"
+        message = " ".join(str(exc).split())
+        print(f"runtime error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

@@ -289,6 +289,15 @@ def split(ds: ColumnarDataset, plan: SplitPlan) -> tuple[ColumnarDataset, Column
     return ds.take(train_idx), ds.take(test_idx)
 
 
+def _quoted(label: str, alone: bool) -> str:
+    """``label`` as :mod:`csv`'s default (QUOTE_MINIMAL) writer writes it: in
+    quotes, its quotes doubled, when it holds a comma, a quote, CR or LF, or
+    when it is empty and ``alone`` in its row."""
+    if any(c in label for c in ',"\r\n') or (alone and label == ""):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
 def write_csv(ds: ColumnarDataset, path, order=None, lead=()) -> None:
     """Write the raw columns of ``ds`` to ``path`` as CSV, header first.
 
@@ -296,23 +305,34 @@ def write_csv(ds: ColumnarDataset, path, order=None, lead=()) -> None:
     ``lead`` holds ``(name, values)`` columns written first, their values
     aligned with ``order``.  Cells are ``repr`` of the value for lead columns
     and of the float64 value for continuous ones, and ``str`` for categorical
-    ones, so :func:`load_csv` reads the values back exactly.
+    ones, so :func:`load_csv` reads the values back exactly.  The bytes are
+    those of :func:`csv.writer` with its default dialect, but each column is
+    formatted on its own, in blocks of rows that bound the cells held at
+    once: numbers through ``repr`` (which never needs quotes) and each
+    distinct categorical label quoted once, and a block's rows go out in one
+    write.
     """
     order = np.arange(ds.m) if order is None else order
+    alone = not lead and len(ds.columns) == 1  # csv quotes an empty lone field
+    labels = {}
+    for col in ds.columns:
+        if col.kind == CATEGORICAL:
+            distinct, codes = np.unique(col.values, return_inverse=True)
+            quoted = np.array([_quoted(str(v), alone) for v in distinct.tolist()], dtype=object)
+            labels[col.name] = (quoted, codes)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*(name for name, _ in lead), *ds.names])
-        # column by column, in blocks of rows that bound the cells held at once
+        csv.writer(fh).writerow([*(name for name, _ in lead), *ds.names])
         for start in range(0, order.size, _WRITE_BLOCK):
             block = slice(start, start + _WRITE_BLOCK)
-            cells = [[repr(v) for v in values[block].tolist()] for _, values in lead]
+            cells = [list(map(repr, values[block].tolist())) for _, values in lead]
             for col in ds.columns:
-                values = col.values[order[block]]
                 if col.kind == CONTINUOUS:
-                    cells.append([repr(v) for v in values.astype(np.float64).tolist()])
+                    values = col.values[order[block]].astype(np.float64)
+                    cells.append(list(map(repr, values.tolist())))
                 else:
-                    cells.append([str(v) for v in values.tolist()])
-            writer.writerows(zip(*cells))
+                    quoted, codes = labels[col.name]
+                    cells.append(quoted[codes[order[block]]].tolist())
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def export_weights(ds: ColumnarDataset, path) -> None:

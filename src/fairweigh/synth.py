@@ -7,11 +7,13 @@ through the true mechanisms under each intervention arm, and average outcome
 probabilities.  These oracles back the accuracy targets of the learned
 pipeline.
 
-The oracle keeps only the noise the contrast reads and runs the cascades in
-blocks of :data:`ORACLE_BLOCK` draws, so its memory is the noise of the nodes
-read plus one row block, with the per-draw contrasts: 42-43 MB at 1,000,000
-draws on the benchmark SCM.  It consumes the random stream exactly as a draw
-of every node's noise would, so its result does not depend on what it keeps.
+The oracle answers every contrast asked for in one pass over one draw.  It
+keeps only the noise some contrast reads and runs the cascades in blocks of
+:data:`ORACLE_BLOCK` draws, so its memory is the noise of the nodes read and
+the per-draw contrasts, plus one row block: 34-35 MB for one contrast and
+43 MB for the total, indirect and a conditioned contrast at 1,000,000 draws
+on the benchmark SCM.  It consumes the random stream exactly as a draw of
+every node's noise would, so its results do not depend on what it keeps.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "parse_scm",
     "generate",
     "oracle_effect",
+    "oracle_effects",
     "benchmark_document",
     "benchmark_scm",
     "LABELS",
@@ -47,7 +50,7 @@ __all__ = [
 LABELS = ("0", "1")  # a binary node's two labels in generated data
 _IDENT = re.compile(r"^[A-Za-z_]\w*$")
 
-# Draws per block of :func:`oracle_effect`'s cascades.  The cascades are
+# Draws per block of :func:`oracle_effects`' cascades.  The cascades are
 # elementwise, so the block size changes only the memory held: blocks start
 # at multiples of it, which keeps every block's rows aligned as in one pass.
 ORACLE_BLOCK = 16_384
@@ -204,8 +207,10 @@ def _draw_noise(
 
     With ``read`` given, only those nodes' draws are kept.  Every other node
     before the last read one still advances ``rng`` exactly as its kept draw
-    would, into one reused buffer, so each kept draw is the one it is when
-    every draw is kept; the draws after the last read node are skipped."""
+    would, in chunks of at most :data:`ORACLE_BLOCK` draws into one small
+    buffer (chunked fills give the values of one fill and leave ``rng`` in
+    the same state), so each kept draw is the one it is when every draw is
+    kept; the draws after the last read node are skipped."""
     order = scm.graph.topo_order
     if read is not None:
         order = order[: max((scm.graph.topo_index[name] + 1 for name in read), default=0)]
@@ -213,18 +218,17 @@ def _draw_noise(
     spare = None
     for name in order:
         fn = scm.functions[name]
+        fill = rng.standard_normal if fn.kind == "normal" else rng.random
         if read is None or name in read:
             out = noise[name] = np.empty(n)
-        else:
-            if spare is None:
-                spare = np.empty(n)
-            out = spare
-        if fn.kind == "normal":
-            rng.standard_normal(out=out)
-            if out is not spare:
+            fill(out=out)  # rng.random gives the draws of rng.uniform(0.0, 1.0, n)
+            if fn.kind == "normal":
                 out *= fn.std
         else:
-            rng.random(out=out)  # the draws of rng.uniform(0.0, 1.0, n)
+            if spare is None:
+                spare = np.empty(min(n, ORACLE_BLOCK))
+            for start in range(0, n, spare.size):
+                fill(out=spare[: n - start])
     return noise
 
 
@@ -244,7 +248,7 @@ def _cascade(
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Propagate mechanisms over ``nodes``, a topologically ordered set closed
     under parents (default: every node); returns node values and the outcome
-    probability."""
+    probability.  The outcome is sampled only when ``noise`` holds its draw."""
     g = scm.graph
     values: dict[str, np.ndarray] = {}
     y_prob = None
@@ -254,7 +258,8 @@ def _cascade(
             continue
         if name == g.outcome:
             y_prob = scm.functions[name].mean_or_prob(values, n)
-            values[name] = (noise[name] < y_prob).astype(np.float64)
+            if name in noise:
+                values[name] = (noise[name] < y_prob).astype(np.float64)
             continue
         values[name] = _node_value(scm, name, values, noise, n)
     return values, y_prob
@@ -289,18 +294,91 @@ def _condition_mask(values: dict[str, np.ndarray], condition) -> np.ndarray:
     return mask
 
 
-def _path_specific_outcome(
-    scm: SyntheticSCM, ps: PathSet, noise: dict[str, np.ndarray], n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probability with s=1 routed only along pi edges, and at the
-    s=0 reference, from one reference cascade over the outcome's ancestors."""
+def oracle_effects(
+    scm: SyntheticSCM,
+    path_sets,
+    n: int = 1_000_000,
+    seed: int = 0,
+) -> list[tuple[float, float]]:
+    """Ground-truth causal effects by brute force: one (estimate, std error)
+    per path set, all from one pass over one exogenous draw.
+
+    The draw is shared across intervention arms and contrasts, and the
+    outcome enters as its success probability rather than a sample, which
+    removes the outcome-level Monte Carlo noise from each contrast.  Total
+    and counterfactual effects route the intervention along every path,
+    which equals clamping the sensitive node; a path-specific effect routes
+    it along its pi edges only, every other input at its s = 0 reference.
+
+    The pass keeps the noise of the nodes some contrast reads: the outcome's
+    ancestry but the clamped sensitive node and the outcome itself, and each
+    condition's nodes with their ancestry.  Per block of
+    :data:`ORACLE_BLOCK` draws it runs the s = 0 reference cascade once, one
+    s = 1 arm per distinct route (routes compare by their edge sets, so the
+    total route serves the total and the counterfactual contrast) and one
+    observational cascade for the conditions.  It holds that noise, one
+    n-long per-draw contrast per route and one mask per condition, and frees
+    the noise before the statistics: on the benchmark SCM the total,
+    indirect and ``x2=1`` contrasts peak at 43 MB at n = 1,000,000.  Each
+    result equals :func:`oracle_effect` of its path set with the same ``n``
+    and ``seed`` bit for bit, whatever else the call asks for, and depends
+    on neither the noise kept nor the block size.
+    """
+    if n < 1:
+        raise GraphError("sample count must be >= 1")
     g = scm.graph
-    active = pi_active_nodes(g, ps)
+    total = total_path_set(g)
+    routes: dict[frozenset, tuple[frozenset[str], np.ndarray]] = {}  # edges: active, diff
+    masks: dict[tuple, np.ndarray] = {}
+    contrasts = []  # (route edges, condition or None) per path set
+    for ps in path_sets:
+        route = ps if ps.mode == "path_specific" else total
+        if route.on_pi_edges not in routes:
+            routes[route.on_pi_edges] = (pi_active_nodes(g, route), np.empty(n))
+        condition = ps.condition if ps.mode == "counterfactual" else None
+        if condition is not None and condition not in masks:
+            masks[condition] = np.empty(n, dtype=bool)
+        contrasts.append((route.on_pi_edges, condition))
     ancestry = g.outcome_ancestry()
-    reference, p_ref = _cascade(scm, noise, n, 0.0, ancestry)
+    closure = g.ancestry([name for condition in masks for name, _ in condition])
+    read = (set(ancestry) - {g.sensitive, g.outcome}) | set(closure)
+    noise = _draw_noise(scm, n, np.random.default_rng(seed), read)
+    for start in range(0, n, ORACLE_BLOCK):
+        rows = slice(start, start + ORACLE_BLOCK)
+        size = min(ORACLE_BLOCK, n - start)
+        block = {name: values[rows] for name, values in noise.items()}
+        reference, p_ref = _cascade(scm, block, size, 0.0, ancestry)
+        for edges, (active, diff) in routes.items():
+            p_plus = _routed_outcome(scm, edges, active, reference, p_ref, block, size)
+            np.subtract(p_plus, p_ref, out=diff[rows])
+        if masks:
+            observed, _ = _cascade(scm, block, size, None, closure)
+            for condition, mask in masks.items():
+                mask[rows] = _condition_mask(observed, condition)
+    del noise, block, reference  # freed before the reductions' n-long temporaries
+
+    results = []
+    for edges, condition in contrasts:
+        diff = routes[edges][1]
+        if condition is not None:
+            if not masks[condition].any():
+                raise GraphError(f"no draws match condition {condition}")
+            diff = diff[masks[condition]]
+        results.append((float(diff.mean()), float(diff.std(ddof=0) / np.sqrt(diff.size))))
+    return results
+
+
+def _routed_outcome(
+    scm: SyntheticSCM, edges: frozenset, active: frozenset[str],
+    reference: dict[str, np.ndarray], p_ref: np.ndarray,
+    noise: dict[str, np.ndarray], n: int,
+) -> np.ndarray:
+    """Outcome probability with s = 1 routed only along the pi ``edges``
+    (through their ``active`` nodes), every other input at its value in the
+    s = 0 ``reference`` cascade, whose outcome probability is ``p_ref``."""
+    g = scm.graph
     inter: dict[str, np.ndarray] = {}
-    p_plus = p_ref
-    for name in ancestry:
+    for name in g.outcome_ancestry():
         if name == g.sensitive:
             inter[name] = np.full(n, 1.0)
             continue
@@ -308,14 +386,13 @@ def _path_specific_outcome(
             inter[name] = reference[name]
             continue
         parent_values = {
-            p: (inter[p] if (p, name) in ps.on_pi_edges else reference[p])
+            p: (inter[p] if (p, name) in edges else reference[p])
             for p in g.parents(name)
         }
         if name == g.outcome:
-            p_plus = scm.functions[name].mean_or_prob(parent_values, n)
-        else:
-            inter[name] = _node_value(scm, name, parent_values, noise, n)
-    return p_plus, p_ref
+            return scm.functions[name].mean_or_prob(parent_values, n)
+        inter[name] = _node_value(scm, name, parent_values, noise, n)
+    return p_ref  # no selected path reaches the outcome
 
 
 def oracle_effect(
@@ -324,49 +401,14 @@ def oracle_effect(
     n: int = 1_000_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Ground-truth causal effect by brute force; returns (estimate, std error).
-
-    The exogenous draw is shared across intervention arms, and the outcome
-    enters as its success probability rather than a sample, which removes the
-    outcome-level Monte Carlo noise from the contrast.  Total and
-    counterfactual effects route the intervention along every path, which
-    equals clamping the sensitive node.
-
-    Memory is the noise of the nodes the contrast reads (the outcome's
-    ancestry but the clamped sensitive node, and in counterfactual mode the
-    condition nodes with their ancestry), one reused noise buffer and the n
-    per-draw contrasts, plus one :data:`ORACLE_BLOCK` of cascade values: on
-    the benchmark SCM 42-43 MB at n = 1,000,000.  The result does not
-    depend on which noise is kept or on the block size.
+    """Ground-truth causal effect of one path set by brute force; returns
+    (estimate, std error).  This is :func:`oracle_effects` of that one
+    contrast: it holds the noise of the nodes the contrast reads and the n
+    per-draw contrasts, 34-35 MB at n = 1,000,000 on the benchmark SCM.  Ask
+    for several contrasts of one draw in one :func:`oracle_effects` call;
+    separate calls redraw the noise and rerun the reference cascade.
     """
-    if n < 1:
-        raise GraphError("sample count must be >= 1")
-    g = scm.graph
-    route = path_set if path_set.mode == "path_specific" else total_path_set(g)
-    conditioned = path_set.mode == "counterfactual"
-    closure = g.ancestry([name for name, _ in path_set.condition]) if conditioned else ()
-    read = (set(g.outcome_ancestry()) - {g.sensitive}) | set(closure)
-    noise = _draw_noise(scm, n, np.random.default_rng(seed), read)
-    diff = np.empty(n)
-    mask = np.empty(n, dtype=bool) if conditioned else None
-    for start in range(0, n, ORACLE_BLOCK):
-        rows = slice(start, start + ORACLE_BLOCK)
-        block = {name: values[rows] for name, values in noise.items()}
-        size = diff[rows].size
-        p_plus, p_minus = _path_specific_outcome(scm, route, block, size)
-        np.subtract(p_plus, p_minus, out=diff[rows])
-        if conditioned:
-            observed, _ = _cascade(scm, block, size, None, closure)
-            mask[rows] = _condition_mask(observed, path_set.condition)
-    del noise, block  # freed before the reduction's n-long temporaries
-    if conditioned:
-        if not mask.any():
-            raise GraphError(f"no draws match condition {path_set.condition}")
-        diff = diff[mask]
-
-    estimate = float(diff.mean())
-    stderr = float(diff.std(ddof=0) / np.sqrt(diff.size))
-    return estimate, stderr
+    return oracle_effects(scm, [path_set], n, seed)[0]
 
 
 def benchmark_document(

@@ -32,7 +32,7 @@ from fairweigh.graph import (
 )
 from fairweigh.model import Pair, StructuredModel
 from fairweigh.reweighter import check_feasibility, solve_weights
-from fairweigh.synth import benchmark_document, benchmark_scm, generate, oracle_effect
+from fairweigh.synth import benchmark_document, benchmark_scm, generate, oracle_effects
 from fairweigh.trainer import TrainConfig, train
 
 from conftest import NO_PATH_DOC, finite_difference, relative_error
@@ -67,15 +67,13 @@ def bench():
 @pytest.fixture(scope="session")
 def oracles(bench):
     scm, _, _, _ = bench
-    te, te_se = oracle_effect(scm, total_path_set(scm.graph), ORACLE_SAMPLES, seed=9)
-    sp, sp_se = oracle_effect(scm, indirect_path_set(scm.graph), ORACLE_SAMPLES, seed=9)
-    ce, ce_se = oracle_effect(
-        scm,
+    path_sets = [
+        total_path_set(scm.graph),
+        indirect_path_set(scm.graph),
         counterfactual_path_set(scm.graph, BENCH_CONDITION),
-        ORACLE_SAMPLES,
-        seed=9,
-    )
-    return {"te": (te, te_se), "sp": (sp, sp_se), "ce": (ce, ce_se)}
+    ]
+    effects = oracle_effects(scm, path_sets, ORACLE_SAMPLES, seed=9)
+    return dict(zip(("te", "sp", "ce"), effects))
 
 
 def fit_only_config() -> TrainConfig:

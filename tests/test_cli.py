@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairweigh import trainer
+from fairweigh import cli, trainer
 from fairweigh.cli import BLAS_THREAD_VARIABLES, _read_weights, main
 from fairweigh.data import Encoder, SplitPlan, load_csv, split_indices
 from fairweigh.graph import parse_graph, total_path_set
@@ -472,6 +472,37 @@ def test_a_bad_repeats_override_exits_2(workspace, capsys):
     config = config_for(workspace, "run_repeats_flag")
     assert main(["reweigh", "--config", str(config), "--repeats", "0"]) == 2
     assert "repeats must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def test_gen_synth_refuses_a_directory_as_out_before_sampling(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before the output path was checked")
+
+    monkeypatch.setattr(cli, "generate", sample)
+    monkeypatch.setattr(cli, "oracle_effects", sample)
+    args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "50",
+            "--out", str(tmp_path), "--oracle-samples", "500"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: output path is a directory, not a file: {tmp_path}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unexpected_exception_exits_3_with_one_line_and_no_traceback(
+    workspace, tmp_path, capsys
+):
+    """An ``out`` that names an existing file fails in ``mkdir`` with an
+    OSError, which no check expects: exit 3 ("runtime error"), never 1,
+    which means "finished but unfair"."""
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    config = config_for(workspace, "run_out_is_a_file", out=str(taken))
+    assert main(["reweigh", "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: FileExistsError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_gen_synth_rejects_a_non_numeric_noise_std(workspace, tmp_path, capsys):

@@ -7,6 +7,7 @@ from fairweigh.graph import (
     GraphError,
     counterfactual_path_set,
     indirect_path_set,
+    pi_active_nodes,
     total_path_set,
 )
 from fairweigh.synth import (
@@ -14,10 +15,11 @@ from fairweigh.synth import (
     _cascade,
     _condition_mask,
     _draw_noise,
-    _path_specific_outcome,
+    _node_value,
     benchmark_scm,
     generate,
     oracle_effect,
+    oracle_effects,
     parse_affine,
     parse_scm,
 )
@@ -266,12 +268,40 @@ y = bernoulli(logistic(0.5*s + 4*m + 1.5*x1 - 2.5))
 """
 
 
+def full_array_arms(scm, ps, noise, n):
+    """Outcome probability with s=1 routed only along pi edges, and at the
+    s=0 reference, from one reference cascade over the outcome's ancestors
+    and all n draws at once."""
+    g = scm.graph
+    active = pi_active_nodes(g, ps)
+    ancestry = g.outcome_ancestry()
+    reference, p_ref = _cascade(scm, noise, n, 0.0, ancestry)
+    inter = {}
+    p_plus = p_ref
+    for name in ancestry:
+        if name == g.sensitive:
+            inter[name] = np.full(n, 1.0)
+            continue
+        if name not in active:
+            inter[name] = reference[name]
+            continue
+        parent_values = {
+            p: (inter[p] if (p, name) in ps.on_pi_edges else reference[p])
+            for p in g.parents(name)
+        }
+        if name == g.outcome:
+            p_plus = scm.functions[name].mean_or_prob(parent_values, n)
+        else:
+            inter[name] = _node_value(scm, name, parent_values, noise, n)
+    return p_plus, p_ref
+
+
 def full_array_oracle(scm, ps, n, seed):
     """The oracle with every node's noise and one pass over all n draws:
     (estimate, stderr), or None when no draw matches the condition."""
     noise = _draw_noise(scm, n, np.random.default_rng(seed))
     route = ps if ps.mode == "path_specific" else total_path_set(scm.graph)
-    p_plus, p_minus = _path_specific_outcome(scm, route, noise, n)
+    p_plus, p_minus = full_array_arms(scm, route, noise, n)
     diff = p_plus - p_minus
     if ps.mode == "counterfactual":
         observed, _ = _cascade(scm, noise, n, do_sensitive=None)
@@ -336,8 +366,8 @@ def test_lean_oracle_draws_past_an_unread_bernoulli_node(mode):
 
 @pytest.mark.parametrize("mode", sorted(BENCHMARK_MODES))
 def test_oracle_memory_is_the_read_noise_plus_one_block(mode):
-    """At 200k draws the oracle holds the noise of the four nodes it reads,
-    the per-draw contrasts and one block: about 10 MB, where keeping every
+    """At 200k draws the oracle holds the noise of the three nodes it reads,
+    the per-draw contrasts and one block: 8-9 MB, where keeping every
     node's noise and cascading all draws at once took 34-40 MB."""
     scm = benchmark_scm(seed=1)
     ps = BENCHMARK_MODES[mode](scm.graph)
@@ -348,3 +378,137 @@ def test_oracle_memory_is_the_read_noise_plus_one_block(mode):
     finally:
         tracemalloc.stop()
     assert peak <= 15e6
+
+
+# A node z after the outcome in topological order: a condition on z reads
+# the outcome's noise, which no contrast reads otherwise.
+TAIL_NODE_DOC = """
+[nodes]
+x1 continuous
+s categorical 2
+m categorical 2
+y categorical 2
+z categorical 2
+[edges]
+x1 -> s
+x1 -> m
+s -> m
+x1 -> y
+s -> y
+m -> y
+s -> z
+y -> z
+[roles]
+sensitive s
+outcome y
+[functions]
+x1 = normal(0, 1)
+s = bernoulli(logistic(0.8*x1))
+m = bernoulli(logistic(2.5*s + x1 - 1.5))
+y = bernoulli(logistic(0.5*s + 4*m + 1.5*x1 - 2.5))
+z = bernoulli(logistic(2*y + 0.5*s - 1))
+"""
+
+
+def assert_one_pass_is_the_full_array_oracle(scm, path_sets, n, seed):
+    expected = [full_array_oracle(scm, ps, n, seed) for ps in path_sets]
+    assert None not in expected  # every condition matches some draw
+    assert oracle_effects(scm, path_sets, n=n, seed=seed) == expected
+
+
+# seed 0's first draw matches every condition, so n = 1 checks all contrasts
+@pytest.mark.parametrize("n", [1, ORACLE_BLOCK, 2 * ORACLE_BLOCK + 1])
+def test_one_oracle_pass_gives_every_contrast_bit_for_bit(n):
+    """The total, indirect, x2=1 and y=1 contrasts from one pass over shared
+    noise equal the full-array reference of each; the total route serves both
+    the total contrast and the conditioned ones."""
+    scm = benchmark_scm(seed=2)
+    g = scm.graph
+    path_sets = [
+        total_path_set(g),
+        indirect_path_set(g),
+        counterfactual_path_set(g, [("x2", "1")]),
+        counterfactual_path_set(g, [("y", "1")]),
+    ]
+    assert_one_pass_is_the_full_array_oracle(scm, path_sets, n, seed=0)
+
+
+@pytest.mark.parametrize("n", [1, ORACLE_BLOCK, 2 * ORACLE_BLOCK + 1])
+def test_one_oracle_pass_with_a_node_after_the_outcome(n):
+    scm = parse_scm(TAIL_NODE_DOC, seed=0)
+    g = scm.graph
+    assert g.topo_order[-1] == "z"
+    path_sets = [
+        counterfactual_path_set(g, [("z", "1")]),
+        total_path_set(g),
+        indirect_path_set(g),
+        counterfactual_path_set(g, [("y", "1")]),
+        counterfactual_path_set(g, [("z", "1")]),
+    ]
+    assert_one_pass_is_the_full_array_oracle(scm, path_sets, n, seed=0)
+
+
+# Normal and uniform (bernoulli) nodes alternate, so every kind of skipped
+# draw lies between kept ones.
+NOISE_DOC = """
+[nodes]
+a continuous
+b categorical 2
+s categorical 2
+c continuous
+d categorical 2
+y categorical 2
+[edges]
+a -> s
+b -> s
+s -> c
+s -> d
+c -> y
+d -> y
+[roles]
+sensitive s
+outcome y
+[functions]
+a = normal(0, 2)
+b = bernoulli(0.3)
+s = bernoulli(logistic(a + b))
+c = normal(s, 0.5)
+d = bernoulli(logistic(s))
+y = bernoulli(logistic(c + d))
+"""
+
+
+def test_kept_noise_is_the_full_draw_and_leaves_the_same_generator_state():
+    """Whatever nodes are read, each kept draw equals a full draw of every
+    node's noise, and the generator ends where drawing every node up to the
+    last read one in one fill each leaves it: a skipped node is stepped past
+    in chunks of at most ORACLE_BLOCK."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    scm = parse_scm(NOISE_DOC)
+    order = scm.graph.topo_order
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 3 * ORACLE_BLOCK + 2),
+        read=st.sets(st.sampled_from(order)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, read, seed):
+        full = _draw_noise(scm, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        kept = _draw_noise(scm, n, rng, read)
+        assert sorted(kept) == sorted(read)
+        for name in read:
+            assert np.array_equal(kept[name], full[name]), name
+        reference = np.random.default_rng(seed)
+        last = max((scm.graph.topo_index[name] for name in read), default=-1)
+        for name in order[: last + 1]:
+            if scm.functions[name].kind == "normal":
+                reference.standard_normal(n)
+            else:
+                reference.random(n)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    check()
