@@ -377,6 +377,8 @@ def _routed_outcome(
     (through their ``active`` nodes), every other input at its value in the
     s = 0 ``reference`` cascade, whose outcome probability is ``p_ref``."""
     g = scm.graph
+    if g.outcome not in active:
+        return p_ref  # no selected path reaches the outcome
     inter: dict[str, np.ndarray] = {}
     for name in g.outcome_ancestry():
         if name == g.sensitive:
@@ -392,7 +394,6 @@ def _routed_outcome(
         if name == g.outcome:
             return scm.functions[name].mean_or_prob(parent_values, n)
         inter[name] = _node_value(scm, name, parent_values, noise, n)
-    return p_ref  # no selected path reaches the outcome
 
 
 def oracle_effect(

@@ -15,7 +15,7 @@ from fairweigh.model import StructuredModel
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_document, generate, parse_scm
 
-from conftest import all_groups_checkpoint
+from conftest import NO_PATH_DOC, all_groups_checkpoint
 
 SCHEMA = [
     {"name": "x1", "kind": "continuous"},
@@ -128,6 +128,26 @@ def test_gen_synth_file_reads_back_the_generated_values(workspace, tmp_path):
     for want, got in zip(generated.columns, loaded.columns):
         assert want.kind == got.kind
         assert np.array_equal(want.values, got.values), want.name
+
+
+def test_gen_synth_without_a_path_to_the_outcome_writes_zero_effects(tmp_path):
+    """No path runs from s to y: the total and counterfactual effects are
+    exactly zero and the indirect effect, undefined, is left out."""
+    scm_path = tmp_path / "scm.txt"
+    functions = ["a = normal(0, 1)", "s = bernoulli(logistic(a))", "y = bernoulli(logistic(a))"]
+    scm_path.write_text(NO_PATH_DOC + "\n".join(["[functions]", *functions, ""]), encoding="utf-8")
+    out = tmp_path / "g.csv"
+    args = ["gen-synth", "--scm", str(scm_path), "--n", "50", "--out", str(out),
+            "--oracle-samples", "3000"]
+    # without a condition no contrast reads the outcome's noise
+    for condition, keys in [([], ["total_effect"]),
+                            (["--condition", "y=1"], ["counterfactual_effect", "total_effect"])]:
+        assert main(args + condition) == 0
+        sidecar = json.loads(Path(str(out) + ".oracle.json").read_text())
+        assert "indirect_effect" not in sidecar
+        assert sorted(k for k in sidecar if k.endswith("_effect")) == keys
+        for key in keys:
+            assert (sidecar[key]["value"], sidecar[key]["stderr"]) == (0.0, 0.0)
 
 
 def test_reweigh_writes_outputs_and_exit_code(workspace):

@@ -5,6 +5,7 @@ import pytest
 
 from fairweigh.graph import (
     GraphError,
+    PathSet,
     counterfactual_path_set,
     indirect_path_set,
     pi_active_nodes,
@@ -446,6 +447,52 @@ def test_one_oracle_pass_with_a_node_after_the_outcome(n):
         counterfactual_path_set(g, [("z", "1")]),
     ]
     assert_one_pass_is_the_full_array_oracle(scm, path_sets, n, seed=0)
+
+
+# s reads a but reaches nothing: no path runs from s to y.
+NO_PATH_SCM_DOC = """
+[nodes]
+a continuous
+s categorical 2
+y categorical 2
+[edges]
+a -> s
+a -> y
+[roles]
+sensitive s
+outcome y
+[functions]
+a = normal(0, 1)
+s = bernoulli(logistic(0.8*a))
+y = bernoulli(logistic(1.5*a - 0.5))
+"""
+
+
+@pytest.mark.parametrize("n", [1, ORACLE_BLOCK + 1])
+def test_one_oracle_pass_without_a_path_to_the_outcome(n):
+    """With no path from s to y every contrast is exactly zero, as in the
+    full-array reference; the y=1 condition reads the outcome's noise."""
+    scm = parse_scm(NO_PATH_SCM_DOC, seed=0)
+    g = scm.graph
+    path_sets = [total_path_set(g), counterfactual_path_set(g, [("y", "1")])]
+    assert oracle_effects(scm, path_sets[:1], n=n, seed=3) == [(0.0, 0.0)]
+    assert_one_pass_is_the_full_array_oracle(scm, path_sets, n, seed=3)
+    assert oracle_effects(scm, path_sets, n=n, seed=3) == [(0.0, 0.0)] * 2
+
+
+def test_oracle_of_edges_that_form_no_complete_path_is_zero():
+    """{(s, m)} selects no s-to-y path, so no node is active and the routed
+    outcome is the reference: the effect is exactly zero, alone and beside
+    the total contrast."""
+    scm = parse_scm(SIDE_NODE_DOC, seed=0)
+    g = scm.graph
+    partial = PathSet("path_specific", frozenset([("s", "m")]))
+    assert not pi_active_nodes(g, partial)
+    n = ORACLE_BLOCK + 3
+    expected = full_array_oracle(scm, partial, n, seed=5)
+    assert expected == (0.0, 0.0)
+    assert oracle_effect(scm, partial, n=n, seed=5) == expected
+    assert_one_pass_is_the_full_array_oracle(scm, [partial, total_path_set(g)], n, seed=5)
 
 
 # Normal and uniform (bernoulli) nodes alternate, so every kind of skipped
