@@ -344,7 +344,7 @@ class EffectReport:
 
     mode: str
     effect: MetricSummary
-    critic_gap: MetricSummary
+    critic_gap: MetricSummary | None
     wasserstein: MetricSummary | None
     parity: MetricSummary
     accuracy: MetricSummary | None
@@ -370,16 +370,16 @@ class EffectReport:
         }
 
     def render_table(self) -> str:
+        def shown(s):
+            return "-" if s is None else s.render()
+
         rows = [
             ("mode", self.mode),
             ("effect", self.effect.render()),
-            ("critic gap", self.critic_gap.render()),
-            (
-                "wasserstein",
-                "-" if self.wasserstein is None else self.wasserstein.render(),
-            ),
+            ("critic gap", shown(self.critic_gap)),
+            ("wasserstein", shown(self.wasserstein)),
             ("statistical parity", self.parity.render()),
-            ("accuracy", "-" if self.accuracy is None else self.accuracy.render()),
+            ("accuracy", shown(self.accuracy)),
             ("threshold", f"{self.threshold:g}"),
             ("fair", "yes" if self.passed else "no"),
         ]

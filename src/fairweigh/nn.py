@@ -36,11 +36,13 @@ from .autodiff import Tensor
 HEADS = ("linear", "logistic", "softmax")
 
 # Rows per block of :func:`mlp_forward`.  Rows are independent, so the block
-# size changes only the memory held and how well it stays in cache: the
-# full-split pair and critic gap of a 100k-row path-specific split took
-# 284-289 ms in blocks of 2048-4096 rows, 306-312 ms in blocks of 1024 or
-# 8192-16384 rows and 426 ms in one pass (2 vCPUs, 1 OpenBLAS thread).
-BLOCK_ROWS = 4096
+# size changes only the memory held and how well it stays in cache: a 32x32
+# layer product costs 25-27 ns per row in blocks of 512-960 rows and 42-46 ns
+# at 1,024 rows or more.  The critic's forward (1 -> 32, 32, 32 -> 1) took
+# 5.9 ms at 16k rows and 29.5 ms at 80k in blocks of 768 rows, against 8.5 and
+# 36.6 ms in blocks of 4,096 (medians on one pinned CPU, 1 OpenBLAS thread);
+# at 1.6k rows, 0.61 against 0.64 ms.
+BLOCK_ROWS = 768
 
 
 class ParamStore:

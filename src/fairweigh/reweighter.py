@@ -153,12 +153,16 @@ def solve_weights(d: np.ndarray, balance: float) -> WeightVector:
     if vertex_dev <= target + BALL_TOL * m:
         return WeightVector(vertex, balance)
 
+    # The bisection runs on d - mean(d): a common shift of d leaves the
+    # minimizer unchanged (sum(w) = m), but an offset far above d's spread
+    # would swamp the spread in 1 - d / (2 lam) and break the projection.
+    centered = d - d.mean()
+
     def trial(lam: float) -> tuple[np.ndarray, float]:
-        w = project_scaled_simplex(1.0 - d / (2.0 * lam), float(m))
+        w = project_scaled_simplex(1.0 - centered / (2.0 * lam), float(m))
         return w, float(np.sum((w - 1.0) ** 2))
 
-    # Interior guess: with no clipping, deviation = ||d - mean(d)||^2 / (4 lam^2).
-    centered = d - d.mean()
+    # Interior guess: with no clipping, deviation = ||centered||^2 / (4 lam^2).
     lam = float(np.linalg.norm(centered)) / (2.0 * np.sqrt(target))
     lo: float | None = None  # deviation above target (lambda too small)
     hi: float | None = None  # deviation at or below target (lambda large enough)

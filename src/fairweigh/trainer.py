@@ -15,11 +15,17 @@ weights, so :func:`repeat_protocol` reports the last epoch's effect and gap
 without a further cascade.  Every loss holds its closed-form gradients; each
 loop of fit and critic steps writes its row-sized arrays into one
 :class:`~fairweigh.nn.Scratch` sized by the batch.
+
+``train(..., fit_only=True)`` runs the first stage alone: the same fit steps
+over the same batches, on weights of exactly one, with no critic step, pair,
+weight solve or effect estimate.  It fits the causal model for an unweighted
+effect, as ``fairweigh effects`` does without a checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict, replace
 
@@ -82,20 +88,30 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.critic_steps_at_weight_solve < 0:
             raise ValueError("critic_steps_at_weight_solve must be >= 0")
-        if self.balance <= 0:
-            raise ValueError("balance parameter must be positive")
+        for name in ("eta0", "critic_lr", "balance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.penalty_coef) and self.penalty_coef >= 0):
+            raise ValueError(f"penalty_coef must be finite and >= 0, got {self.penalty_coef!r}")
+        for name in ("hidden", "critic_hidden"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"{name} widths must be >= 1, got {list(getattr(self, name))}")
 
 
 @dataclass
 class EpochRecord:
+    """One epoch's statistics.  A fit-only epoch runs no critic, pair or
+    solve: its critic, effect and gap fields stay NaN and its weights one."""
+
     epoch: int
     fit_loss: float
-    critic_objective: float
-    gradient_penalty: float
-    effect: float
-    critic_gap: float
-    weight_deviation: float
     wall_time: float
+    critic_objective: float = math.nan
+    gradient_penalty: float = math.nan
+    effect: float = math.nan
+    critic_gap: float = math.nan
+    weight_deviation: float = 0.0
 
 
 def progress(completed_steps: int, total_steps: int) -> float:
@@ -214,9 +230,17 @@ class _Loop:
 
 
 def train(
-    model: StructuredModel, ds: ColumnarDataset, config: TrainConfig
+    model: StructuredModel,
+    ds: ColumnarDataset,
+    config: TrainConfig,
+    *,
+    fit_only: bool = False,
 ) -> tuple[StructuredModel, WeightVector, list[EpochRecord]]:
     """Run the full alternating scheme; returns the final feasible weights.
+
+    With ``fit_only`` each epoch runs only the fit steps, on weights of
+    exactly one, and the weights returned are ones: no critic step, full-split
+    pair, weight solve or effect estimate (see :class:`EpochRecord`).
 
     Aborts on a non-finite loss or gradient or a failed weight solve,
     restoring the last epoch-boundary parameter snapshot before raising.
@@ -229,21 +253,30 @@ def train(
     for epoch in range(config.epochs):
         started = time.perf_counter()
         losses: list[float] = []
+        stats = {}  # a fit-only epoch keeps EpochRecord's defaults
         try:
             scratch = Scratch(config.batch_size)  # one per loop of steps
             for i, idx in enumerate(_batches(ds.m, config.batch_size, loop.batch_rng)):
                 losses.append(loop.fit_step(idx, scratch))
-                if (i + 1) % config.fit_steps_per_critic_step == 0:
+                if not fit_only and (i + 1) % config.fit_steps_per_critic_step == 0:
                     loop.critic_step(loop.batch_pair(idx), scratch)
             del scratch
-            pair = loop.full_split_pair()
-            loop.orient_critic(pair)
-            scratch = Scratch(config.batch_size)
-            for _ in range(config.critic_steps_at_weight_solve):
-                idx = loop.refine_rng.choice(ds.m, size=config.batch_size, replace=False)
-                loop.critic_step(loop.refine_pair(pair, idx), scratch)
-            del scratch
-            weight_vector = loop.solve_epoch_weights(pair)
+            if not fit_only:
+                pair = loop.full_split_pair()
+                loop.orient_critic(pair)
+                scratch = Scratch(config.batch_size)
+                for _ in range(config.critic_steps_at_weight_solve):
+                    idx = loop.refine_rng.choice(ds.m, size=config.batch_size, replace=False)
+                    loop.critic_step(loop.refine_pair(pair, idx), scratch)
+                del scratch
+                weight_vector = loop.solve_epoch_weights(pair)
+                stats = dict(
+                    critic_objective=loop.last_critic_objective,
+                    gradient_penalty=loop.last_penalty,
+                    effect=estimate_effect(model, ds, weights=loop.weights, pair=pair),
+                    critic_gap=loop.last_critic_gap,
+                    weight_deviation=float(np.sum((loop.weights - 1.0) ** 2)),
+                )
         except (FloatingPointError, SolverError) as exc:
             model.params.restore(snapshot)
             raise TrainingError(
@@ -251,17 +284,12 @@ def train(
                 epoch=epoch,
             ) from exc
         snapshot = model.params.snapshot()
-        effect = estimate_effect(model, ds, weights=loop.weights, pair=pair)
         log.append(
             EpochRecord(
                 epoch=epoch,
                 fit_loss=float(np.mean(losses)),
-                critic_objective=loop.last_critic_objective,
-                gradient_penalty=loop.last_penalty,
-                effect=effect,
-                critic_gap=loop.last_critic_gap,
-                weight_deviation=float(np.sum((loop.weights - 1.0) ** 2)),
                 wall_time=time.perf_counter() - started,
+                **stats,
             )
         )
     return model, weight_vector, log

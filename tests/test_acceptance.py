@@ -9,7 +9,6 @@ stated runtime budgets.
 import json
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +73,6 @@ def oracles(bench):
     ]
     effects = oracle_effects(scm, path_sets, ORACLE_SAMPLES, seed=9)
     return dict(zip(("te", "sp", "ce"), effects))
-
-
-def fit_only_config() -> TrainConfig:
-    return TrainConfig(**TRAIN_SETTINGS, balance=1e-9)
 
 
 @pytest.fixture(scope="session")
@@ -205,19 +200,19 @@ outcome y
 def test_criterion_4_unweighted_effect_recovery(bench, oracles):
     started = time.perf_counter()
     scm, ds, enc, x = bench
-    config = fit_only_config()
+    config = TrainConfig(**TRAIN_SETTINGS)
 
     model_te = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=2)
-    model_te, _, _ = train(model_te, ds, config)
+    model_te, _, _ = train(model_te, ds, config, fit_only=True)
     te = total_effect(model_te, ds, None, x)
 
     model_sp = StructuredModel(scm.graph, enc, indirect_path_set(scm.graph), seed=2)
-    model_sp, _, _ = train(model_sp, ds, config)
+    model_sp, _, _ = train(model_sp, ds, config, fit_only=True)
     sp = path_specific_effect(model_sp, ds, None, x)
 
     cf_mode = counterfactual_path_set(scm.graph, BENCH_CONDITION)
     model_ce = StructuredModel(scm.graph, enc, cf_mode, seed=2)
-    model_ce, _, _ = train(model_ce, ds, config)
+    model_ce, _, _ = train(model_ce, ds, config, fit_only=True)
     ce = counterfactual_effect(model_ce, ds, None, x)
 
     te_err = abs(te - oracles["te"][0])
@@ -389,7 +384,7 @@ def test_criterion_8_adult_reproduction(tmp_path):
     config = TrainConfig(seed=0)  # paper-default settings
 
     base = StructuredModel(graph, enc, total_path_set(graph), seed=0)
-    base, _, _ = train(base, train_ds, replace(config, balance=1e-9))
+    base, _, _ = train(base, train_ds, config, fit_only=True)
     te_before = total_effect(base, train_ds, None, x)
 
     model = StructuredModel(graph, enc, total_path_set(graph), seed=0)

@@ -250,6 +250,25 @@ def test_effects_fit_and_checkpoint_round(workspace):
     assert code in (0, 1)
     report = json.loads((out / "report.json").read_text())
     assert "effect" in report and report["accuracy"] is None
+    assert report["critic_gap"]["values"] == [report["critic_gap"]["mean"]]
+
+
+def test_effects_without_a_checkpoint_only_fits_and_reports_no_critic_gap(
+    workspace, monkeypatch, capsys
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("effects without a checkpoint ran the critic")
+
+    for name in ("critic_step", "full_split_pair"):
+        monkeypatch.setattr(trainer._Loop, name, forbidden)
+    monkeypatch.setattr(trainer, "solve_weights", forbidden)
+    monkeypatch.setattr(cli, "discriminator_gap", forbidden)
+    config = config_for(workspace, "run_fit_only")
+    out = workspace / "effects_fit_only"
+    assert main(["effects", "--config", str(config), "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert report["critic_gap"] is None and report["effect"] is not None
+    assert "critic gap          -\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -485,6 +504,36 @@ def test_a_bad_run_config_number_exits_2_and_names_its_field(
     for command in ("reweigh", "effects", "evaluate"):
         assert main([command, "--config", str(config)]) == 2
         assert f"configuration error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("balance", float("nan"), id="balance-nan"),
+        pytest.param("critic_lr", -1.0, id="critic_lr-negative"),
+        pytest.param("eta0", float("inf"), id="eta0-inf"),
+        pytest.param("penalty_coef", -0.5, id="penalty_coef-negative"),
+        pytest.param("hidden", [0], id="hidden-zero"),
+        pytest.param("critic_hidden", [32, 0], id="critic_hidden-zero"),
+        pytest.param("wasserstein", "no", id="wasserstein-string"),
+    ],
+)
+def test_a_bad_training_setting_exits_2_and_names_its_field(
+    workspace, tmp_path, capsys, field, value
+):
+    """Each once exited 3 (a NaN balance) or ran to exit 0 or 1 (a negative
+    critic rate or a zero width trained a constant critic; any non-empty
+    string switched the distance critic on)."""
+    out = tmp_path / "run"
+    overrides = {"train": {**FAST_TRAIN, field: value}}
+    if field == "wasserstein":
+        overrides = {field: value}
+    config = config_for(workspace, "run_settings", out=str(out), **overrides)
+    for command in ("reweigh", "effects"):
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and field in err, err
     assert not out.exists()
 
 

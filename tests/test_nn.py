@@ -157,10 +157,19 @@ def test_snapshot_restore_checks_shapes():
         store.restore(partial)
 
 
+# Row counts named by their place against BLOCK_ROWS, so that their test ids
+# stay put when the block size changes, then fixed counts over several blocks.
+AROUND_BLOCKS = [
+    pytest.param(BLOCK_ROWS - 1, id="block-1"),
+    pytest.param(BLOCK_ROWS, id="block"),
+    pytest.param(BLOCK_ROWS + 1, id="block+1"),
+    pytest.param(BLOCK_ROWS + 2, id="block+2"),
+    pytest.param(3 * BLOCK_ROWS + 1, id="3blocks+1"),
+]
+
+
 @pytest.mark.parametrize("head, width", [("linear", 1), ("logistic", 1), ("softmax", 3)])
-@pytest.mark.parametrize(
-    "rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 3 * BLOCK_ROWS + 1]
-)
+@pytest.mark.parametrize("rows", [*AROUND_BLOCKS, 4095, 4096, 4097, 4098, 12289])
 def test_blocked_forward_matches_one_pass(head, width, rows):
     """Rows are independent, so the blocks' outputs are those of one pass;
     BLAS may pick another kernel for a block's shape, hence the tolerance."""
@@ -176,10 +185,12 @@ def test_blocked_forward_matches_one_pass(head, width, rows):
 @pytest.mark.parametrize(
     "rows, blocks",
     [
-        (BLOCK_ROWS, [BLOCK_ROWS]),
-        (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),
-        (BLOCK_ROWS + 2, [BLOCK_ROWS, 2]),
-        (3 * BLOCK_ROWS + 1, [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS + 1]),
+        pytest.param(BLOCK_ROWS, [BLOCK_ROWS], id="block"),
+        pytest.param(BLOCK_ROWS + 1, [BLOCK_ROWS + 1], id="block+1"),
+        pytest.param(BLOCK_ROWS + 2, [BLOCK_ROWS, 2], id="block+2"),
+        pytest.param(
+            3 * BLOCK_ROWS + 1, [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS + 1], id="3blocks+1"
+        ),
     ],
 )
 def test_forward_blocks_start_at_multiples_and_never_hold_one_row(monkeypatch, rows, blocks):
@@ -327,7 +338,9 @@ def test_mlp_backward_matches_the_reference_formulas(sizes, rows, head, width):
         assert_close(got, expected)
 
 
-@pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize(
+    "rows", [AROUND_BLOCKS[0], AROUND_BLOCKS[2], AROUND_BLOCKS[4], 4095, 4097, 12289]
+)
 def test_one_wide_blocked_forward_with_biases_matches_one_pass(rows):
     """The folded first layer [x, 1] [W_1; b_1] keeps blocks equal to one pass."""
     layers = random_layers(3, layer_sizes(1, (32, 32, 32), 1))

@@ -116,6 +116,16 @@ def test_objective_scale_covariance():
         assert np.max(np.abs(scaled - base)) < 1e-6
 
 
+def test_a_large_common_offset_does_not_break_the_solve():
+    """An offset 10^7 times the spread of d once left the projection's sum
+    3e-7 short of m (SolverError); the bisection now runs on d - mean(d)."""
+    d = np.random.default_rng(1).normal(size=100) * 1e-3 - 1e4
+    w = solve_weights(d, 1.5)
+    assert check_feasibility(w.values, 1.5).feasible
+    unshifted = solve_weights(d + 1e4, 1.5)
+    assert np.max(np.abs(w.values - unshifted.values)) < 1e-8
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(13)
     d = rng.normal(0, 1, 15)

@@ -118,18 +118,19 @@ def test_weighted_critic_objective_with_unit_weights_matches_unweighted():
 
 
 def test_nan_divergence_aborts_with_rollback():
-    scm, ds, enc, model, _ = small_setup(seed=4)
-    cfg = TrainConfig(epochs=3, batch_size=64, eta0=1e160, seed=4)
-    before = {
-        name: [p.data.copy() for layer in model.params.group(name) for p in layer]
-        for name in model.params.groups
-    }
-    with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite"):
-        train(model, ds, cfg)
-    for name, arrays in before.items():
-        restored = [p.data for layer in model.params.group(name) for p in layer]
-        for a, b in zip(arrays, restored):
-            assert np.all(np.isfinite(b))
+    for fit_only in (False, True):
+        scm, ds, enc, model, _ = small_setup(seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=64, eta0=1e160, seed=4)
+        before = {
+            name: [p.data.copy() for layer in model.params.group(name) for p in layer]
+            for name in model.params.groups
+        }
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite"):
+            train(model, ds, cfg, fit_only=fit_only)
+        for name, arrays in before.items():
+            restored = [p.data for layer in model.params.group(name) for p in layer]
+            for a, b in zip(arrays, restored):
+                assert np.all(np.isfinite(b))
 
 
 def test_write_log_round_trips(tmp_path):
@@ -282,6 +283,47 @@ def mode_setup(mode, n=400, seed=8, **config):
         scm.graph, enc, path_set(scm.graph), seed=seed, critic_context_nodes=context_nodes
     )
     return ds, enc, model, cfg
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_one_fit_only_epoch_fits_as_train_does_and_leaves_the_critic(mode):
+    """An epoch's fit steps see unit weights until its weight solve, so at one
+    epoch the fit-only path fits the same parameters bit for bit; it takes no
+    critic step and returns weights of exactly one."""
+    ds, _, trained, cfg = mode_setup(mode, epochs=1)
+    _, _, fitted, _ = mode_setup(mode, epochs=1)
+    initial_critic = [p.data.copy() for p in fitted.params.parameters(["critic"])]
+    train(trained, ds, cfg)
+    _, wv, log = train(fitted, ds, cfg, fit_only=True)
+    nodes = fitted.sub_network_nodes
+    assert nodes
+    for a, b in zip(trained.params.parameters(nodes), fitted.params.parameters(nodes)):
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(initial_critic, fitted.params.parameters(["critic"])):
+        assert np.array_equal(a, b.data)
+    assert np.array_equal(wv.values, np.ones(ds.m))
+    (record,) = log
+    assert np.isfinite(record.fit_loss) and record.wall_time > 0
+    assert record.weight_deviation == 0.0
+    assert all(
+        np.isnan(value)
+        for value in (record.critic_objective, record.gradient_penalty, record.effect,
+                      record.critic_gap)
+    )
+
+
+def test_fit_only_runs_no_critic_step_pair_or_solve(monkeypatch):
+    _, ds, _, model, cfg = small_setup(seed=6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit-only training ran adversarial work")
+
+    for name in ("critic_step", "batch_pair", "full_split_pair", "orient_critic"):
+        monkeypatch.setattr(_Loop, name, forbidden)
+    monkeypatch.setattr(trainer, "solve_weights", forbidden)
+    monkeypatch.setattr(trainer, "estimate_effect", forbidden)
+    _, wv, log = train(model, ds, cfg, fit_only=True)
+    assert len(log) == cfg.epochs and np.array_equal(wv.values, np.ones(ds.m))
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
