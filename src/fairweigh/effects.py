@@ -144,12 +144,11 @@ def scaled_critic_gap(
     """The gap of :func:`discriminator_gap` from the critic's read-outs on a
     pair's two arms, ``weights`` over all ``m`` rows normalized inside the
     pair's ``rows``."""
-    pooled = np.concatenate([d_plus, d_minus])
-    spread = float(pooled.max() - pooled.min())
+    low = np.minimum(d_plus.min(), d_minus.min())
+    spread = float(np.maximum(d_plus.max(), d_minus.max()) - low)
     if spread < 1e-12:
         warnings.warn("critic output is constant; gap diagnostic degenerate")
         return 0.0
-    low = pooled.min()
     omega = _pair_weights(weights, m, rows)
     return float(omega @ ((d_plus - low) / spread) - omega @ ((d_minus - low) / spread))
 

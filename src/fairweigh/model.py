@@ -13,7 +13,10 @@ Intermediate categorical values propagate as probability vectors (soft,
 deterministic); binary nodes expand a scalar success probability p into the
 two-column representation (1-p, p) that matches their one-hot encoding.  The
 model owns the interventional :class:`Pair`: which rows a mode's contrast
-covers, and their critic context.
+covers, and their critic context.  The pair cascades its rows in blocks of
+:data:`PAIR_BLOCK_ROWS`, so a pass over a whole training split holds the
+cascade's arrays for one block at a time, with outcomes bit-identical to one
+pass.
 
 The fit is teacher-forced, so its loss is a sum of independent per-node
 losses, each with its sub-network's gradient from :func:`nn.mlp_backward`.
@@ -29,6 +32,7 @@ from .autodiff import Tensor
 from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
 from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
 from .nn import (
+    BLOCK_ROWS,
     ParamStore,
     critic_loss,
     gradient_penalty,
@@ -39,6 +43,11 @@ from .nn import (
     mlp_forward,
     save_params,
 )
+
+# Rows per block of :meth:`StructuredModel.interventional_pair`, a multiple of
+# ``nn.BLOCK_ROWS`` so that the blocks of each sub-network's forward line up
+# with those of one pass.
+PAIR_BLOCK_ROWS = 4 * BLOCK_ROWS
 
 __all__ = ["ModelError", "Pair", "StructuredModel", "condition_mask"]
 
@@ -149,6 +158,8 @@ class StructuredModel:
             name: np.r_[tuple(encoder.block(p) for p in graph.parents(name))]
             for name in self.sub_network_nodes
         }
+        context_blocks = [encoder.block(n) for n in self.critic_context_nodes]
+        self._context_columns = [c for b in context_blocks for c in range(b.start, b.stop)]
         self._pi_active = (
             pi_active_nodes(graph, mode) if mode.mode == "path_specific" else frozenset()
         )
@@ -318,19 +329,36 @@ class StructuredModel:
 
         Counterfactual mode needs the mask, the condition matched on the raw
         rows of ``x`` (see :meth:`pair_mask`); it may select no row.
+
+        The covered rows cascade in blocks of :data:`PAIR_BLOCK_ROWS`, each
+        gathered from ``x`` on its own, so a pass over a whole split holds
+        the cascade's arrays for one block at a time.  Blocks start at
+        multiples of ``nn.BLOCK_ROWS`` and a last single row joins the block
+        before it, so every :func:`nn.mlp_forward` sees the blocks of one
+        pass and the outcomes are bit-identical to one.
         """
         if mask is not None:
             rows = np.flatnonzero(mask)
-            x = x[rows]
         elif self.mode.mode == "counterfactual":
             raise ModelError("counterfactual mode needs the row mask of its condition")
         else:
             rows = np.arange(x.shape[0])
+        y_plus, y_minus = np.empty(rows.size), np.empty(rows.size)
+        starts = range(0, max(rows.size - 1, 1), PAIR_BLOCK_ROWS)
+        for start, stop in zip(starts, [*starts[1:], rows.size]):
+            block = x[start:stop] if mask is None else x[rows[start:stop]]
+            y_plus[start:stop], y_minus[start:stop] = self._pair_outcomes(block)
+        context = None
+        if self.critic_context_nodes:
+            columns = self._context_columns
+            context = x[:, columns] if mask is None else x[np.ix_(rows, columns)]
+        return Pair(y_plus, y_minus, rows, context)
+
+    def _pair_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mode's (high, low) arm outcomes of the rows of ``x``."""
         if self.mode.mode == "path_specific":
-            y_plus, y_minus = self._path_specific_pair(x, 1)
-        else:
-            y_plus, y_minus = self.intervene_total(x, 1), self.intervene_total(x, 0)
-        return Pair(y_plus, y_minus, rows, self.critic_context(x))
+            return self._path_specific_pair(x, 1)
+        return self.intervene_total(x, 1), self.intervene_total(x, 0)
 
     def _check_s(self, s: int) -> None:
         if s not in (0, 1):
@@ -346,12 +374,6 @@ class StructuredModel:
         if context is None:
             raise ModelError("critic context nodes configured but no context given")
         return np.concatenate([y, context], axis=1)
-
-    def critic_context(self, x: np.ndarray) -> np.ndarray | None:
-        if not self.critic_context_nodes:
-            return None
-        blocks = [x[:, self.encoder.block(n)] for n in self.critic_context_nodes]
-        return np.concatenate(blocks, axis=1)
 
     def critic_value(self, y, context: np.ndarray | None = None) -> np.ndarray:
         """Unbounded scalar critic of the outcome probability, one column."""

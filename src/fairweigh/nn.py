@@ -303,10 +303,16 @@ def _penalty(weights, wts, hs, slopes, scale: float, grad_w, grad_b, scratch: Sc
     for l in range(depth, 0, -1):
         rho[l] = np.multiply(r[l], slopes[l], out=scratch.take(("rho", l), *hs[l].shape))
         r[l - 1] = np.matmul(rho[l], wts[l - 1], out=scratch.take(("r", l - 1), *hs[l - 1].shape))
-    norm = np.sqrt((r[0] * r[0]).sum(axis=1, keepdims=True) + 1e-24)
-    value = ((norm - 1.0) ** 2.0).sum() * (1.0 / float(rows))
+    # n and R's row scale (2/B) (n - 1)/n as 1-D arrays
+    norm = np.square(r[0]).sum(axis=1)
+    norm += 1e-24
+    np.sqrt(norm, out=norm)
+    dev = norm - 1.0
+    value = np.square(dev).sum() * (1.0 / float(rows))
+    dev *= scale * 2.0 / rows
+    dev /= norm
     inject = [None] * (depth + 1)
-    big_r = (scale * 2.0 / rows) * (norm - 1.0) / norm * r[0]
+    big_r = np.multiply(r[0], dev[:, None], out=scratch.take(("R", 0), *r[0].shape))
     for l in range(1, depth + 1):
         grad_w[l - 1] += big_r.T @ rho[l]
         q = _matmul(big_r, weights[l - 1], out=scratch.take(("q", l), *hs[l].shape))

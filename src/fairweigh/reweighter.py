@@ -1,10 +1,13 @@
 """Sample-weight optimization under simplex and balance-ball constraints.
 
 The program is: minimize d.w subject to w >= 0, sum(w) = m and
-sum((w - 1)^2) <= T*m.  The solver runs a bisection on the Lagrange
-multiplier of the ball constraint; each trial point is a Euclidean projection
-onto the scaled simplex, so every iterate is feasible for the simplex part by
-construction.
+sum((w - 1)^2) <= T*m.  When the ball binds, the minimizer is the Euclidean
+projection of 1 - t d onto the scaled simplex for one multiplier
+t = 1/(2 lambda) > 0, and its support is a run of the smallest d.  The order
+of 1 - t d does not depend on t, so one sort of d and its prefix sums give
+every candidate support's t in closed form; the solve keeps the consistent
+one and then projects once (the projection as in Duchi et al., "Efficient
+Projections onto the l1-Ball", ICML 2008).
 """
 
 from __future__ import annotations
@@ -24,12 +27,10 @@ __all__ = [
 
 SUM_TOL = 1e-9  # relative to m
 BALL_TOL = 1e-9  # relative to m
-BISECT_TOL = 1e-8  # relative to m, on the ball residual
-MAX_BISECT = 200
 
 
 class SolverError(ValueError):
-    """Infeasible weight vector or a solve that failed to converge."""
+    """Invalid solver input or an infeasible weight vector."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ def check_feasibility(w: np.ndarray, balance: float) -> FeasibilityReport:
 
 
 def project_scaled_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection of ``v`` onto {w >= 0, sum(w) = total}.
+    """Euclidean projection of ``v`` onto {w >= 0, sum(w) = total}, written
+    over ``v`` when it is a float64 array (and returned).
 
     Sort-based threshold search: w_i = max(v_i - theta, 0) with theta the
     unique root of sum(max(v_i - theta, 0)) = total.
@@ -109,12 +111,14 @@ def project_scaled_simplex(v: np.ndarray, total: float) -> np.ndarray:
     if total <= 0:
         raise SolverError(f"projection target sum must be positive, got {total}")
     u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    counts = np.arange(1, v.size + 1)
-    support = np.nonzero(u - (cumulative - total) / counts > 0.0)[0]
-    rho = support[-1]
-    theta = (cumulative[rho] - total) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    # theta_j = (sum of the j largest - total) / j; the support is the
+    # longest prefix of u with u_j > theta_j
+    theta = np.cumsum(u)
+    theta -= total
+    theta /= np.arange(1, v.size + 1)
+    rho = v.size - 1 - int(np.argmax((u > theta)[::-1]))
+    np.subtract(v, theta[rho], out=v)
+    return np.maximum(v, 0.0, out=v)
 
 
 def _vertex_solution(d: np.ndarray) -> np.ndarray:
@@ -126,13 +130,73 @@ def _vertex_solution(d: np.ndarray) -> np.ndarray:
     return w
 
 
+def _standardized(d: np.ndarray) -> np.ndarray:
+    """(d - min d) / 2^e with 2^e the power of two above d's spread, so the
+    values lie in [0, 2): the same minimizer, and neither the scaling nor the
+    sums of squares over- or underflow at any finite spread."""
+    lo = float(d.min())
+    exponent = int(np.frexp(0.5 * float(d.max()) - 0.5 * lo)[1]) + 1
+    z = np.ldexp(d, -exponent)
+    z -= np.ldexp(lo, -exponent)
+    return z
+
+
+def _support(z: np.ndarray, balance: float) -> tuple[int, float, float]:
+    """Size k, mean and multiplier t = 1/(2 lambda) of the binding solve's
+    support over the ascending values ``z``, which it overwrites.
+
+    On the support of the k smallest values the weights are
+    w_i = m/k + t (mean_k - z_i), and the deviation sum((w - 1)^2) is
+    m (m/k - 1) + t^2 V_k, with V_k the support's sum of squared deviations
+    from its mean; the ball binds at t_k^2 = m (T + 1 - m/k) / V_k.  Support
+    k is consistent when its last weight at t_k is >= 0.  The deviation of
+    the projection of 1 - t z rises strictly with t from 0 to the vertex's
+    (above T m), so it meets T m at one t, and consistent supports are a
+    prefix of the sizes at which the ball can bind; the largest is the
+    solution's (a smaller one differs only by rows of weight exactly zero).
+    """
+    m = z.size
+    k = np.arange(1.0, m + 1.0)
+    mean = np.cumsum(z)
+    mean /= k
+    z -= mean  # g_k = z_k - mean_k
+    # V_k as Welford's sum of the nonnegative k/(k - 1) g_k^2, free of cancellation
+    var = np.square(z)
+    var *= k
+    var[1:] /= k[:-1]  # k - 1
+    var[0] = 0.0
+    np.cumsum(var, out=var)
+    # last weight >= 0:  r_k k g_k^2 <= m V_k, with r_k = (T + 1) k - m > 0
+    np.square(z, out=z)
+    z *= k
+    r = k  # k is not needed again
+    r *= balance + 1.0
+    r -= m
+    z *= r
+    z /= m
+    # a V_k below the smallest normal float has lost its digits
+    consistent = (r > 0.0) & (var >= np.finfo(np.float64).tiny) & (z <= var)
+    last = m - 1 - int(np.argmax(consistent[::-1]))
+    if not consistent[last]:
+        raise SolverError(
+            "no weight support meets the balance ball: the smallest gaps spread "
+            "less than about 1e-154 of the gaps' range, beyond float64"
+        )
+    t = np.sqrt(m * r[last] / (last + 1.0)) / np.sqrt(var[last])  # t_k^2 = m r_k / (k V_k)
+    return last + 1, float(mean[last]), float(t)
+
+
 def solve_weights(d: np.ndarray, balance: float) -> WeightVector:
     """Global minimizer of d.w over the feasible weight set.
 
     Constant d is degenerate (every feasible point is optimal) and resolves to
     the all-ones vector.  When the balance ball does not bind, the answer is
-    the simplex vertex concentrating on argmin(d); otherwise a bisection on
-    the multiplier lambda drives the deviation sum((w-1)^2) onto T*m.
+    the simplex vertex concentrating on argmin(d).  Otherwise the minimizer
+    is the projection of 1 - t d onto the scaled simplex at the one t where
+    the ball binds: d is standardized (a shift and a positive scale leave the
+    minimizer), one sort and its prefix sums give the support and t in closed
+    form (:func:`_support`), and one projection, centred on the support's
+    mean, gives the weights.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
@@ -143,40 +207,21 @@ def solve_weights(d: np.ndarray, balance: float) -> WeightVector:
         raise SolverError(f"balance parameter must be positive, got {balance}")
 
     m = d.size
-    target = balance * m
-
-    if float(d.max() - d.min()) == 0.0:
+    if d.max() == d.min():
         return WeightVector(np.ones(m), balance)
 
     vertex = _vertex_solution(d)
     vertex_dev = float(np.sum((vertex - 1.0) ** 2))
-    if vertex_dev <= target + BALL_TOL * m:
+    if vertex_dev <= balance * m + BALL_TOL * m:
         return WeightVector(vertex, balance)
+    del vertex
 
-    # The bisection runs on d - mean(d): a common shift of d leaves the
-    # minimizer unchanged (sum(w) = m), but an offset far above d's spread
-    # would swamp the spread in 1 - d / (2 lam) and break the projection.
-    centered = d - d.mean()
-
-    def trial(lam: float) -> tuple[np.ndarray, float]:
-        w = project_scaled_simplex(1.0 - centered / (2.0 * lam), float(m))
-        return w, float(np.sum((w - 1.0) ** 2))
-
-    # Interior guess: with no clipping, deviation = ||centered||^2 / (4 lam^2).
-    lam = float(np.linalg.norm(centered)) / (2.0 * np.sqrt(target))
-    lo: float | None = None  # deviation above target (lambda too small)
-    hi: float | None = None  # deviation at or below target (lambda large enough)
-    for _ in range(MAX_BISECT):
-        w, dev = trial(lam)
-        if dev <= target and target - dev <= BISECT_TOL * m:
-            return WeightVector(w, balance)
-        if dev > target:
-            lo = lam
-            lam = 0.5 * (lo + hi) if hi is not None else lam * 2.0
-        else:
-            hi = lam
-            lam = 0.5 * (lo + hi) if lo is not None else lam * 0.5
-    raise SolverError(
-        f"weight solve did not converge in {MAX_BISECT} bisection steps "
-        f"(bracket [{lo}, {hi}], target {target:.6e})"
-    )
+    z = _standardized(d)
+    z.sort()
+    _, mean, t = _support(z, balance)
+    del z
+    v = _standardized(d)  # again, unsorted, rather than held through the search
+    v -= mean
+    v *= -t
+    v += 1.0
+    return WeightVector(project_scaled_simplex(v, float(m)), balance)

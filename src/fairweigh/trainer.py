@@ -215,13 +215,15 @@ class _Loop:
         :func:`~fairweigh.effects.discriminator_gap`) as ``last_critic_gap``."""
         d_plus, d_minus = self._critic_gap(pair)
         solved = solve_weights(d_plus - d_minus, self.config.balance)
-        # Conditioned mode: rows outside the condition keep weight one.
-        self.weights = np.ones(self.ds.m)
-        self.weights[pair.rows] = solved.values
+        if self.mask is not None:  # rows outside the condition keep weight one
+            weights = np.ones(self.ds.m)
+            weights[pair.rows] = solved.values
+            solved = WeightVector(weights, self.config.balance)
+        self.weights = solved.values  # replaced, never written in place
         self.last_critic_gap = scaled_critic_gap(
             d_plus, d_minus, self.weights, self.ds.m, pair.rows
         )
-        return WeightVector(self.weights.copy(), self.config.balance)
+        return solved
 
     def _critic_gap(self, pair: Pair) -> tuple[np.ndarray, np.ndarray]:
         """The critic's read-outs on the pair's two arms."""

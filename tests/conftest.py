@@ -8,6 +8,7 @@ from fairweigh.data import Encoder
 from fairweigh.graph import graph_fingerprint, parse_graph, total_path_set
 from fairweigh.model import StructuredModel
 from fairweigh.nn import ParamStore, layer_sizes, save_params
+from fairweigh.reweighter import check_feasibility
 from fairweigh.synth import benchmark_scm, generate
 
 try:
@@ -130,3 +131,26 @@ def finite_difference(fn, params: Sequence[Tensor], step: float = 1e-5) -> list[
             gflat[j] = (f_plus - f_minus) / (2.0 * step)
         grads.append(g)
     return grads
+
+
+def assert_kkt_optimal(d, balance, w):
+    """``w`` is feasible and meets the KKT conditions of min d.w: the vertex
+    on argmin(d) when that lies in the ball, else the ball binds and
+    w_i = a - t d_i (t > 0) on the support, with a - t d_i <= 0 off it."""
+    m = d.size
+    assert check_feasibility(w, balance).feasible, check_feasibility(w, balance).describe()
+    vertex = np.where(d == d.min(), m / np.sum(d == d.min()), 0.0)
+    if np.sum((vertex - 1.0) ** 2) <= (balance + 1e-9) * m:
+        np.testing.assert_allclose(w, vertex, rtol=0, atol=1e-9)
+        return
+    assert abs(np.sum((w - 1.0) ** 2) - balance * m) <= 1e-9 * m
+    z = (d - d.min()) / (d.max() - d.min())  # the conditions survive shift and scale
+    support = w > 0
+    zs = z[support] - z[support].mean()
+    t = -float(zs @ (w[support] - w[support].mean())) / float(zs @ zs)
+    assert t > 0
+    a = w[support] + t * z[support]
+    scale = 1.0 + np.max(w)
+    assert np.max(a) - np.min(a) <= 1e-9 * scale
+    if not support.all():
+        assert np.max(a.mean() - t * z[~support]) <= 1e-9 * scale

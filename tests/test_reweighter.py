@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairweigh import reweighter
 from fairweigh.reweighter import (
     SolverError,
     WeightVector,
@@ -8,6 +9,8 @@ from fairweigh.reweighter import (
     project_scaled_simplex,
     solve_weights,
 )
+
+from conftest import assert_kkt_optimal
 
 
 def grid_search_optimum(d, balance, step=1e-2):
@@ -42,7 +45,13 @@ def grid_search_optimum(d, balance, step=1e-2):
 
 def test_projection_keeps_feasible_points():
     v = np.array([0.5, 1.2, 1.3])
-    assert np.allclose(project_scaled_simplex(v, 3.0), v, atol=1e-12)
+    assert np.allclose(project_scaled_simplex(v.copy(), 3.0), v, atol=1e-12)
+
+
+def test_projection_writes_over_its_input():
+    v = np.array([2.0, 0.5, -0.5])
+    assert project_scaled_simplex(v, 3.0) is v
+    assert np.allclose(v, [2.25, 0.75, 0.0], atol=1e-12)
 
 
 def test_projection_clips_and_shifts():
@@ -118,7 +127,7 @@ def test_objective_scale_covariance():
 
 def test_a_large_common_offset_does_not_break_the_solve():
     """An offset 10^7 times the spread of d once left the projection's sum
-    3e-7 short of m (SolverError); the bisection now runs on d - mean(d)."""
+    3e-7 short of m (SolverError); the solve now works on a standardized d."""
     d = np.random.default_rng(1).normal(size=100) * 1e-3 - 1e4
     w = solve_weights(d, 1.5)
     assert check_feasibility(w.values, 1.5).feasible
@@ -167,3 +176,72 @@ def test_solver_input_validation():
         solve_weights(np.array([]), 1.0)
     with pytest.raises(SolverError):
         solve_weights(np.array([1.0, 2.0]), 0.0)
+
+
+def case_rows(seed, m, spike=0.0):
+    d = np.random.default_rng(seed).normal(size=m)
+    d[0] += spike
+    return d
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        pytest.param(case_rows(0, 100) * 1e-300, id="spread-1e-300"),
+        pytest.param(case_rows(1, 100, 1e9), id="spike-1e9-m100"),
+        pytest.param(case_rows(2, 100, 1e10), id="spike-1e10-m100"),
+        pytest.param(case_rows(3, 1_000, 1e9), id="spike-1e9-m1000"),
+        pytest.param(case_rows(4, 1_000, 1e10), id="spike-1e10-m1000"),
+        pytest.param(case_rows(5, 20_000, 1e9), id="spike-1e9-m20000"),
+        pytest.param(case_rows(6, 20_000, 1e10), id="spike-1e10-m20000"),
+        pytest.param(case_rows(7, 1_000, 1e15), id="spike-1e15-m1000"),
+        pytest.param(case_rows(8, 100) * 1e300, id="values-1e300"),
+        pytest.param(1e300 + case_rows(9, 100) * 1e290, id="offset-1e300"),
+    ],
+)
+def test_extreme_but_valid_gaps_solve_to_the_optimum(d):
+    """Each of these once failed: a spread of 1e-300 underflowed the
+    multiplier (non-finite projection input), one gap 1e9-1e10 above N(0,1)
+    rows left the sum 1e-7 to 3e-5 short of m, one 1e15 above them ran 200
+    bisection steps without converging, and values near 1e300 overflowed the
+    norm that seeded the bisection."""
+    for balance in (0.5, 1.5):
+        assert_kkt_optimal(d, balance, solve_weights(d, balance).values)
+
+
+def test_a_spread_beyond_float64_range_is_refused_by_name():
+    """Smallest gaps 1e-300 of the gaps' range cannot be told apart in the
+    sums of squares: the solve says so instead of returning wrong weights."""
+    with pytest.raises(SolverError, match="1e-154"):
+        solve_weights(case_rows(0, 50, 1e300), 1.5)
+
+
+def test_kkt_checker_rejects_a_suboptimal_point():
+    d = np.array([1.0, 0.0, -1.0])
+    with pytest.raises(AssertionError):
+        assert_kkt_optimal(d, 0.5, np.ones(3))
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    calls = []
+    original = reweighter.project_scaled_simplex
+
+    def counted(v, total):
+        calls.append(v.size)
+        return original(v, total)
+
+    monkeypatch.setattr(reweighter, "project_scaled_simplex", counted)
+    return calls
+
+
+def test_a_binding_solve_projects_exactly_once(projections):
+    d = np.random.default_rng(3).normal(size=500)
+    solve_weights(d, 1.5)
+    assert projections == [500]
+
+
+def test_vertex_and_constant_solves_project_never(projections):
+    solve_weights(np.array([3.0, 1.0, 2.0]), balance=2.0)  # vertex
+    solve_weights(np.full(4, -2.3), 0.2)  # constant
+    assert projections == []
