@@ -1,11 +1,12 @@
 """Command-line surface: reweigh, effects, gen-synth, evaluate.
 
 A run is driven by a JSON config document; command-line flags override single
-fields.  Every reweigh run writes a manifest capturing the fully resolved
-configuration plus content hashes and the numpy, BLAS and BLAS thread
-setting it ran under; feeding that manifest back through ``--config``
-reproduces the weight files byte for byte on the same numpy and BLAS build
-with the same BLAS thread setting.
+fields, and :class:`~fairweigh.config.RunConfig` checks every field before
+any input file is read.  Every reweigh run writes a manifest capturing the
+configuration as given plus the overrides, content hashes and the numpy, BLAS
+and BLAS thread setting it ran under; feeding that manifest back through
+``--config`` reproduces the weight files byte for byte on the same numpy and
+BLAS build with the same BLAS thread setting.
 
 Exit codes: 0 success and fair (|effect| < tau), 1 success but the effect
 exceeds tau, 2 configuration/input errors, 3 runtime failures.
@@ -17,15 +18,14 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import ConfigError, RunConfig, TrainConfig, number, resolve
 from .data import (
     ColumnarDataset,
     DataError,
@@ -66,26 +66,8 @@ from .synth import (
     oracle_effects,
     parse_scm,
 )
-from .trainer import TrainConfig, TrainingError, repeat_protocol, write_log
+from .trainer import TrainingError, repeat_protocol, write_log
 from .trainer import train as _train
-
-CONFIG_KEYS = {
-    "data",
-    "graph",
-    "out",
-    "schema",
-    "mode",
-    "paths",
-    "condition",
-    "tau",
-    "repeats",
-    "train",
-    "train_fraction",
-    "wasserstein",
-    "wasserstein_steps",
-    "critic_context_nodes",
-}
-
 
 # The environment variables that set the BLAS thread count.
 BLAS_THREAD_VARIABLES = (
@@ -95,18 +77,6 @@ BLAS_THREAD_VARIABLES = (
     "BLIS_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-
-
-class ConfigError(ValueError):
-    """Unusable run configuration or missing input file."""
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _hash(obj) -> str:
-    return hashlib.sha256(_canonical(obj).encode("utf-8")).hexdigest()
 
 
 def _input_file(path, kind: str) -> Path:
@@ -119,146 +89,60 @@ def _input_file(path, kind: str) -> Path:
     return path
 
 
-def load_config(path) -> dict:
-    """Read a run config; a reweigh manifest is accepted and unwrapped."""
+def read_config(args: argparse.Namespace) -> tuple[dict, RunConfig]:
+    """The run config of ``--config`` (a reweigh manifest is unwrapped) with
+    the command-line overrides, and its fields checked and resolved, before
+    any input file is read."""
     try:
-        with open(_input_file(path, "config"), encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(_input_file(args.config, "config"), encoding="utf-8") as fh:
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if "config" in raw and isinstance(raw["config"], dict):
-        raw = raw["config"]
-    unknown = set(raw) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
-    for required in ("data", "graph", "schema"):
-        if required not in raw:
-            raise ConfigError(f"config lacks required field {required!r}")
-    return raw
-
-
-def read_config(args: argparse.Namespace) -> dict:
-    """The run config of ``--config`` with the command-line overrides, its
-    numbers checked."""
-    config = apply_overrides(load_config(args.config), args)
-    for name, types, in_range, requirement in (
-        ("tau", (int, float), lambda v: v >= 0, "a number >= 0"),
-        ("repeats", (int,), lambda v: v >= 1, "an integer >= 1"),
-        ("train_fraction", (int, float), lambda v: 0 < v < 1, "a number strictly between 0 and 1"),
-        ("wasserstein_steps", (int,), lambda v: v >= 1, "an integer >= 1"),
-    ):
-        value = config.get(name)
-        if value is not None and (
-            isinstance(value, bool)
-            or not isinstance(value, types)
-            or not (math.isfinite(value) and in_range(value))
-        ):
-            raise ConfigError(f"{name} must be {requirement}, got {value!r}")
-    return config
-
-
-def _wants_wasserstein(config: dict) -> bool:
-    """The run config's ``wasserstein`` switch, a JSON boolean (default true)."""
-    value = config.get("wasserstein", True)
-    if not isinstance(value, bool):
-        raise ConfigError(f"wasserstein must be true or false, got {value!r}")
-    return value
-
-
-def parse_condition(entries) -> list[tuple]:
-    """(node, value) pairs from a list of ``NODE=VALUE`` strings (the
-    ``--condition`` flags) or of [node, value] pairs (a run config)."""
-    if not isinstance(entries, list):
-        raise ConfigError(f"condition must be a list of [node, value] pairs, got {entries!r}")
-    pairs = [entry.split("=", 1) if isinstance(entry, str) else entry for entry in entries]
-    for entry, pair in zip(entries, pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(
-                f"condition entry {entry!r} is neither NODE=VALUE nor a [node, value] pair"
-            )
-    return [tuple(pair) for pair in pairs]
-
-
-def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    config = dict(config)
-    train_section = dict(config.get("train", {}))
-    if getattr(args, "seed", None) is not None:
-        train_section["seed"] = args.seed
-    if getattr(args, "t_balance", None) is not None:
-        train_section["balance"] = args.t_balance
-    if train_section:
-        config["train"] = train_section
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be an object, got {config!r}")
+    config = config["config"] if isinstance(config.get("config"), dict) else config
+    overrides = {"seed": args.seed, "balance": args.t_balance}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if overrides and isinstance(config.get("train", {}), dict):  # resolve refuses the rest
+        config["train"] = {**config.get("train", {}), **overrides}
     for key in ("mode", "tau", "out", "repeats"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    return config
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
+    train = resolve(TrainConfig, config.get("train", {}), "train")
+    return config, resolve(RunConfig, {**config, "train": train}, "config")
 
 
-def parse_schema(config: dict):
-    schema = []
-    declared_levels: dict[str, list[str]] = {}
-    for entry in config["schema"]:
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise ConfigError(f"bad schema entry: {entry!r}")
-        schema.append((entry["name"], entry["kind"]))
-        if "levels" in entry:
-            declared_levels[entry["name"]] = [str(v) for v in entry["levels"]]
-    return schema, declared_levels
+def parse_condition(entries: list[str]) -> list[tuple[str, str]]:
+    """(node, value) pairs from ``NODE=VALUE`` strings, the ``--condition`` flags."""
+    for entry in entries:
+        if "=" not in entry:
+            raise ConfigError(f"condition entry {entry!r} is not NODE=VALUE")
+    return [tuple(entry.split("=", 1)) for entry in entries]
 
 
-def load_inputs(config: dict) -> tuple[ColumnarDataset, CausalGraph, dict]:
-    schema, declared_levels = parse_schema(config)
-    graph = parse_graph(_input_file(config["graph"], "graph").read_text(encoding="utf-8"))
-    ds = load_csv(_input_file(config["data"], "data"), schema)
+def load_inputs(run: RunConfig) -> tuple[ColumnarDataset, CausalGraph, dict]:
+    graph = parse_graph(_input_file(run.graph, "graph").read_text(encoding="utf-8"))
+    ds = load_csv(_input_file(run.data, "data"), [(c["name"], c["kind"]) for c in run.schema])
     for spec in graph.nodes:
-        try:
-            column = ds.column(spec.name)
-        except DataError:
-            raise ConfigError(
-                f"graph node {spec.name!r} has no column in the data file"
-            ) from None
-        if column.kind != spec.kind:
-            raise ConfigError(
-                f"node {spec.name!r}: graph kind {spec.kind} != schema kind {column.kind}"
-            )
+        if spec.name not in ds.names:
+            raise ConfigError(f"graph node {spec.name!r} has no column in the data file")
+        kind = ds.column(spec.name).kind
+        if kind != spec.kind:
+            raise ConfigError(f"node {spec.name!r}: graph kind {spec.kind} != schema kind {kind}")
+    declared_levels = {
+        c["name"]: [str(v) for v in c["levels"]] for c in run.schema if "levels" in c
+    }
     return ds, graph, declared_levels
 
 
-def build_mode(config: dict, graph: CausalGraph) -> PathSet:
-    mode = config.get("mode", "total")
-    if mode == "total":
+def build_mode(run: RunConfig, graph: CausalGraph) -> PathSet:
+    if run.mode == "total":
         return total_path_set(graph)
-    if mode == "path_specific":
-        selection = config.get("paths", "indirect")
-        if selection == "indirect":
-            return indirect_path_set(graph)
-        if selection == "direct":
-            return direct_path_set(graph)
-        if selection == "all":
-            return PathSet("path_specific", total_path_set(graph).on_pi_edges)
-        raise ConfigError(f"unknown path selection {selection!r}")
-    if mode == "counterfactual":
-        condition = config.get("condition")
-        if not condition:
-            raise ConfigError("counterfactual mode requires a condition")
-        return counterfactual_path_set(graph, parse_condition(condition))
-    raise ConfigError(f"unknown fairness mode {mode!r}")
-
-
-def build_train_config(config: dict) -> TrainConfig:
-    section = dict(config.get("train", {}))
-    known = {f.name for f in dataclass_fields(TrainConfig)}
-    unknown = set(section) - known
-    if unknown:
-        raise ConfigError(f"unknown train field {sorted(unknown)[0]!r}")
-    for tuple_field in ("hidden", "critic_hidden"):
-        if tuple_field in section:
-            section[tuple_field] = tuple(section[tuple_field])
-    try:
-        return TrainConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
+    if run.mode == "counterfactual":
+        return counterfactual_path_set(graph, run.condition)
+    if run.paths == "all":
+        return PathSet("path_specific", total_path_set(graph).on_pi_edges)
+    return (direct_path_set if run.paths == "direct" else indirect_path_set)(graph)
 
 
 def _environment() -> dict:
@@ -278,13 +162,14 @@ def _environment() -> dict:
     }
 
 
-def write_manifest(out_dir: Path, config: dict, graph: CausalGraph) -> None:
+def write_manifest(out_dir: Path, config: dict, seed: int, graph: CausalGraph) -> None:
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "config": config,
-        "config_hash": _hash(config),
+        "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "environment": _environment(),
         "graph_hash": graph_fingerprint(graph),
-        "seed": config.get("train", {}).get("seed", TrainConfig().seed),
+        "seed": seed,
         "version": __version__,
     }
     (out_dir / "manifest.json").write_text(
@@ -300,31 +185,27 @@ def _write_report(out_dir: Path, report: EffectReport) -> None:
 
 
 def cmd_reweigh(args) -> int:
-    config = read_config(args)
-    compute_wasserstein = _wants_wasserstein(config)
-    ds, graph, declared_levels = load_inputs(config)
-    mode = build_mode(config, graph)
+    config, run = read_config(args)
+    ds, graph, declared_levels = load_inputs(run)
+    mode = build_mode(run, graph)
     # a condition value must be a declared or observed level of its node
     validate_path_set(graph, mode, Encoder().fit(ds, declared_levels).levels)
-    train_config = build_train_config(config)
-    tau = float(config.get("tau", 0.05))
-    repeats = int(config.get("repeats", 5))
-    out_dir = Path(config.get("out", "fairweigh-out"))
+    out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, config, graph)
+    write_manifest(out_dir, config, run.train.seed, graph)
 
     report, artifacts = repeat_protocol(
         ds,
         graph,
         mode,
-        train_config,
-        repeats=repeats,
-        tau=tau,
-        train_fraction=float(config.get("train_fraction", 0.8)),
+        run.train,
+        repeats=run.repeats,
+        tau=float(run.tau),
+        train_fraction=run.train_fraction,
         declared_levels=declared_levels,
-        compute_wasserstein=compute_wasserstein,
-        wasserstein_steps=int(config.get("wasserstein_steps", 2000)),
-        critic_context_nodes=tuple(config.get("critic_context_nodes", ())),
+        compute_wasserstein=run.wasserstein,
+        wasserstein_steps=run.wasserstein_steps,
+        critic_context_nodes=run.critic_context_nodes,
     )
 
     mean_weights = np.zeros(ds.m)
@@ -390,24 +271,21 @@ def train(model: StructuredModel, ds: ColumnarDataset, config: TrainConfig):
 
 
 def cmd_effects(args) -> int:
-    config = read_config(args)
-    compute_wasserstein = _wants_wasserstein(config)
-    ds, graph, declared_levels = load_inputs(config)
-    mode = build_mode(config, graph)
+    _, run = read_config(args)
+    ds, graph, declared_levels = load_inputs(run)
+    mode = build_mode(run, graph)
     encoder = Encoder().fit(ds, declared_levels)
     validate_path_set(graph, mode, encoder.levels)
-    train_config = build_train_config(config)
-    tau = float(config.get("tau", 0.05))
     weights = _read_weights(args.weights, ds.m) if args.weights else None
 
     model = StructuredModel(
         graph,
         encoder,
         mode,
-        seed=train_config.seed,
-        hidden=train_config.hidden,
-        critic_hidden=train_config.critic_hidden,
-        critic_context_nodes=tuple(config.get("critic_context_nodes", ())),
+        seed=run.train.seed,
+        hidden=run.train.hidden,
+        critic_hidden=run.train.critic_hidden,
+        critic_context_nodes=run.critic_context_nodes,
     )
     if args.checkpoint:
         checkpoint = _input_file(args.checkpoint, "checkpoint")
@@ -416,7 +294,7 @@ def cmd_effects(args) -> int:
         except ValueError as exc:  # unreadable, or written for another model
             raise ConfigError(f"checkpoint {args.checkpoint}: {exc}") from None
     else:  # the causal model alone: no trained critic, so no critic gap
-        model, _, _ = train(model, ds, train_config)
+        model, _, _ = train(model, ds, run.train)
 
     pair = model.interventional_pair(encoder.transform(ds), model.pair_mask(ds))
     effect = estimate_effect(model, ds, weights=weights, pair=pair)
@@ -427,13 +305,13 @@ def cmd_effects(args) -> int:
         ds, graph.sensitive, graph.outcome, weights, declared_levels
     )
     distance = None
-    if weights is not None and compute_wasserstein:
+    if weights is not None and run.wasserstein:
         distance = wasserstein_distance(
             ds,
             ds.replace_weights(weights),
             encoder,
-            seed=train_config.seed,
-            steps=int(config.get("wasserstein_steps", 2000)),
+            seed=run.train.seed,
+            steps=run.wasserstein_steps,
         )
     report = EffectReport(
         mode=mode.mode,
@@ -442,7 +320,7 @@ def cmd_effects(args) -> int:
         wasserstein=None if distance is None else MetricSummary.of([distance]),
         parity=MetricSummary.of([parity]),
         accuracy=None,
-        threshold=tau,
+        threshold=float(run.tau),
     )
     if args.out:
         out_dir = Path(args.out)
@@ -486,13 +364,9 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = read_config(args)
-    ds, graph, declared_levels = load_inputs(config)
-    plan = SplitPlan(
-        config.get("train", {}).get("seed", TrainConfig().seed),
-        float(config.get("train_fraction", 0.8)),
-        args.repetition,
-    )
+    _, run = read_config(args)
+    ds, graph, declared_levels = load_inputs(run)
+    plan = SplitPlan(run.train.seed, run.train_fraction, args.repetition)
     train_idx, test_idx = split_indices(ds.m, plan)
     train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
     weights = None
@@ -502,6 +376,14 @@ def cmd_evaluate(args) -> int:
     accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights, encoder)
     print(f"weighted logistic regression accuracy: {accuracy:.4f}")
     return 0
+
+
+def _non_negative(text: str) -> int:
+    """The argparse type of ``--seed`` and ``--repetition``, a seed's rule."""
+    rule = number(0, whole=True)
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be {rule.requirement}, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="run config JSON (or manifest)")
-        p.add_argument("--seed", type=int, help="override training seed")
-        p.add_argument("--mode", choices=["total", "path_specific", "counterfactual"])
+        p.add_argument("--seed", type=_non_negative, help="override training seed")
+        p.add_argument("--mode", help="override the fairness mode")
         p.add_argument("--t-balance", type=float, dest="t_balance",
                        help="override the balance parameter")
         p.add_argument("--tau", type=float, help="fairness threshold")
@@ -536,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scm", required=True, help="SCM description file")
     p_gen.add_argument("--n", type=int, required=True, help="number of rows")
     p_gen.add_argument("--out", required=True, help="output CSV path")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative, default=0)
     p_gen.add_argument("--oracle-samples", type=int, default=1_000_000)
     p_gen.add_argument(
         "--condition",
@@ -549,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="downstream weighted-regression accuracy")
     add_common(p_eval)
     p_eval.add_argument("--weights", help="weights CSV over the full dataset")
-    p_eval.add_argument("--repetition", type=int, default=0, help="split index")
+    p_eval.add_argument("--repetition", type=_non_negative, default=0, help="split index")
     p_eval.set_defaults(func=cmd_evaluate)
     return parser
 

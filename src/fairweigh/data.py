@@ -54,13 +54,14 @@ class ColumnarDataset:
     def __init__(self, columns: Sequence[Column], weights: np.ndarray | None = None):
         if not columns:
             raise DataError("dataset needs at least one column")
+        self._by_name = {c.name: c for c in columns}
+        if len(self._by_name) != len(columns):
+            names = [c.name for c in columns]
+            raise DataError(f"column {max(names, key=names.count)!r} appears twice")
         lengths = {len(c.values) for c in columns}
         if len(lengths) != 1:
             raise DataError(f"columns have differing lengths: {sorted(lengths)}")
         self.columns: tuple[Column, ...] = tuple(columns)
-        self._by_name = {c.name: c for c in columns}
-        if len(self._by_name) != len(columns):
-            raise DataError("duplicate column names")
         self.m = lengths.pop()
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -111,7 +112,8 @@ def load_csv(path, schema: Sequence[tuple[str, str]]) -> ColumnarDataset:
     The header must contain every schema column; extra file columns are
     ignored.  Cells are parsed strictly: a non-numeric value in a continuous
     column, a NUL character in a categorical one or an empty cell fails with
-    the offending row and column named.
+    the offending row and column named, and so does a schema column named
+    twice or of an unknown kind.
     """
     names = [n for n, _ in schema]
     kinds = dict(schema)
@@ -153,13 +155,11 @@ def load_csv(path, schema: Sequence[tuple[str, str]]) -> ColumnarDataset:
                 else:
                     raw[name].append(cell)
 
-    columns = []
-    for name in names:
-        if kinds[name] == CONTINUOUS:
-            columns.append(Column(name, CONTINUOUS, np.asarray(raw[name], dtype=np.float64)))
-        else:
-            columns.append(Column(name, CATEGORICAL, np.asarray(raw[name], dtype=str)))
-    return ColumnarDataset(columns)
+    # Column refuses an unknown kind, and ColumnarDataset a column named twice
+    return ColumnarDataset([
+        Column(n, kinds[n], np.asarray(raw[n], np.float64 if kinds[n] == CONTINUOUS else str))
+        for n in names
+    ])
 
 
 class Encoder:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward
+from .config import RunConfig
 from .data import ColumnarDataset, DataError, Encoder
 from .model import ModelError, Pair, StructuredModel
 from .nn import Adam, ParamStore, Scratch, critic_loss, layer_sizes, mlp_forward
@@ -167,7 +168,7 @@ def wasserstein_estimate(
     x_reweighted: np.ndarray,
     weights: np.ndarray | None = None,
     seed: int = 0,
-    steps: int = 2000,
+    steps: int = RunConfig.wasserstein_steps,
 ) -> float:
     """Critic-based distance between an empirical and a reweighted matrix.
 
@@ -218,7 +219,7 @@ def wasserstein_distance(
     reweighted: ColumnarDataset,
     encoder: Encoder | None = None,
     seed: int = 0,
-    steps: int = 2000,
+    steps: int = RunConfig.wasserstein_steps,
 ) -> float:
     """Dataset-level wrapper: encode both sides with one shared transform,
     once when they hold the same columns (``reweighted`` is ``original``

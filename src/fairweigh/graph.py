@@ -152,9 +152,6 @@ class CausalGraph:
         """Whether any directed path runs from the sensitive node to the outcome."""
         return self.outcome in self.descendants(self.sensitive)
 
-    def column_names(self) -> list[str]:
-        return [s.name for s in self.nodes]
-
     def __repr__(self):
         return (
             f"CausalGraph({len(self.nodes)} nodes, {len(self.edges)} edges, "

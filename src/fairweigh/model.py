@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor
+from .config import TrainConfig
 from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
 from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
 from .nn import (
@@ -102,8 +103,8 @@ class StructuredModel:
         encoder: Encoder,
         mode: PathSet,
         seed: int,
-        hidden: tuple[int, ...] = (32, 32),
-        critic_hidden: tuple[int, ...] = (32, 32, 32),
+        hidden: tuple[int, ...] = TrainConfig.hidden,
+        critic_hidden: tuple[int, ...] = TrainConfig.critic_hidden,
         critic_context_nodes: tuple[str, ...] = (),
     ):
         self.graph = graph

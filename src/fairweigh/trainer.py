@@ -32,6 +32,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .autodiff import backward
+from .config import RunConfig, TrainConfig
 from .data import ColumnarDataset, Encoder, SplitPlan, split_indices
 from .effects import (
     EffectReport,
@@ -65,38 +66,6 @@ class TrainingError(RuntimeError):
     def __init__(self, message: str, epoch: int | None = None):
         super().__init__(message)
         self.epoch = epoch
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 640
-    eta0: float = 0.001
-    critic_lr: float = 1e-4
-    momentum: float = 0.9
-    fit_steps_per_critic_step: int = 2
-    critic_steps_at_weight_solve: int = 50
-    balance: float = 1.5
-    penalty_coef: float = 10.0
-    seed: int = 0
-    hidden: tuple[int, ...] = (32, 32)
-    critic_hidden: tuple[int, ...] = (32, 32, 32)
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "fit_steps_per_critic_step"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.critic_steps_at_weight_solve < 0:
-            raise ValueError("critic_steps_at_weight_solve must be >= 0")
-        for name in ("eta0", "critic_lr", "balance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.penalty_coef) and self.penalty_coef >= 0):
-            raise ValueError(f"penalty_coef must be finite and >= 0, got {self.penalty_coef!r}")
-        for name in ("hidden", "critic_hidden"):
-            if any(width < 1 for width in getattr(self, name)):
-                raise ValueError(f"{name} widths must be >= 1, got {list(getattr(self, name))}")
 
 
 @dataclass
@@ -309,14 +278,14 @@ def repeat_protocol(
     graph: CausalGraph,
     mode: PathSet,
     config: TrainConfig,
-    repeats: int = 5,
-    tau: float = 0.05,
-    train_fraction: float = 0.8,
+    repeats: int = RunConfig.repeats,
+    tau: float = RunConfig.tau,
+    train_fraction: float = RunConfig.train_fraction,
     declared_levels: dict | None = None,
-    compute_wasserstein: bool = True,
-    wasserstein_steps: int = 2000,
+    compute_wasserstein: bool = RunConfig.wasserstein,
+    wasserstein_steps: int = RunConfig.wasserstein_steps,
     compute_accuracy: bool = True,
-    critic_context_nodes: tuple[str, ...] = (),
+    critic_context_nodes: tuple[str, ...] = RunConfig.critic_context_nodes,
 ) -> tuple[EffectReport, list[dict]]:
     """Independent train/test splits, one full training run per repetition.
 

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from fairweigh import cli, trainer
 from fairweigh.cli import BLAS_THREAD_VARIABLES, _read_weights, main
+from fairweigh.config import RunConfig, TrainConfig
 from fairweigh.data import Encoder, SplitPlan, load_csv, split_indices
 from fairweigh.graph import parse_graph, total_path_set
 from fairweigh.model import StructuredModel
@@ -543,6 +546,93 @@ def test_a_bad_repeats_override_exits_2(workspace, capsys):
     assert "repeats must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
+def _schema_with(index, **entry):
+    return [{**column, **entry} if i == index else column for i, column in enumerate(SCHEMA)]
+
+
+def _train_with(**fields):
+    return {"train": {**FAST_TRAIN, **fields}}
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        pytest.param("epochs", _train_with(epochs=1.5), id="epochs-fraction"),
+        pytest.param("seed", _train_with(seed=1.5), id="seed-fraction"),
+        pytest.param("hidden", _train_with(hidden=[1.5]), id="hidden-fraction"),
+        pytest.param("critic_steps_at_weight_solve",
+                     _train_with(critic_steps_at_weight_solve=1.5), id="refine-fraction"),
+        pytest.param("train", {"train": [1, 2]}, id="train-list"),
+        pytest.param("schema", {"schema": 5}, id="schema-number"),
+        pytest.param("schema", {"schema": _schema_with(1, levels=5)}, id="levels-number"),
+        pytest.param("data", {"data": 5}, id="data-number"),
+        pytest.param("graph", {"graph": None}, id="graph-null"),
+        pytest.param("seed", _train_with(seed=-1), id="seed-negative"),
+        pytest.param("critic_context_nodes", {"critic_context_nodes": "x2"}, id="context-string"),
+        pytest.param("critic_context_nodes", {"critic_context_nodes": [5]}, id="context-number"),
+        pytest.param("batch_size", _train_with(batch_size=True), id="batch_size-boolean"),
+        pytest.param("momentum", _train_with(momentum=float("nan")), id="momentum-nan"),
+        pytest.param("out", {"out": "taken"}, id="out-a-file"),
+        pytest.param("out", {"out": "taken/run"}, id="out-under-a-file"),
+        pytest.param("momentum", _train_with(momentum="0.9"), id="momentum-string"),
+        pytest.param("momentum", _train_with(momentum=-5), id="momentum-negative"),
+        pytest.param("fit_steps_per_critic_step", _train_with(fit_steps_per_critic_step=2.5),
+                     id="interleave-fraction"),
+        pytest.param("schema", {"schema": _schema_with(1, levels="01")}, id="levels-string"),
+        pytest.param("schema", {"schema": _schema_with(0, kind="continous")}, id="kind-misspelt"),
+        pytest.param("schema", {"schema": _schema_with(3, name="x1")}, id="column-twice"),
+    ],
+)
+def test_a_bad_config_field_exits_2_naming_it_before_any_file_is_read(
+    workspace, tmp_path, capsys, monkeypatch, field, overrides
+):
+    """Each once exited 3 or ran on: fractions, booleans and strings in
+    number fields, a negative seed, a non-object train section, a schema
+    that is no list of columns (or has a misspelt kind or a column named
+    twice), a path that is no string, a string read as a list of node names,
+    and an ``out`` naming a file.  A file read before the check would make
+    the run exit 3."""
+
+    def read(*args, **kwargs):
+        raise AssertionError("an input file was read before the config was checked")
+
+    monkeypatch.setattr(cli, "load_csv", read)
+    monkeypatch.setattr(cli, "parse_graph", read)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    if "out" in overrides:
+        overrides = {"out": str(tmp_path / overrides["out"])}
+    config = config_for(workspace, "run_bad_field", **{"out": str(tmp_path / "run"), **overrides})
+    for command in ("reweigh", "effects", "evaluate"):
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {field} must be "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert taken.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("reweigh", "--seed"), ("effects", "--seed"), ("evaluate", "--seed"),
+     ("evaluate", "--repetition"), ("gen-synth", "--seed")],
+)
+def test_a_negative_seed_or_repetition_flag_exits_2_naming_it(
+    workspace, tmp_path, capsys, command, flag
+):
+    """numpy refused these with "expected non-negative integer" (exit 3);
+    argparse now refuses them before the command runs."""
+    if command == "gen-synth":
+        args = ["gen-synth", "--scm", str(workspace / "scm.txt"), "--n", "50",
+                "--out", str(tmp_path / "g.csv")]
+    else:
+        args = [command, "--config", str(config_for(workspace, "run_flags"))]
+    with pytest.raises(SystemExit) as exit_:
+        main(args + [flag, "-3"])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_synth_refuses_a_directory_as_out_before_sampling(
     workspace, tmp_path, capsys, monkeypatch
 ):
@@ -560,18 +650,20 @@ def test_gen_synth_refuses_a_directory_as_out_before_sampling(
 
 
 def test_an_unexpected_exception_exits_3_with_one_line_and_no_traceback(
-    workspace, tmp_path, capsys
+    workspace, tmp_path, capsys, monkeypatch
 ):
-    """An ``out`` that names an existing file fails in ``mkdir`` with an
-    OSError, which no check expects: exit 3 ("runtime error"), never 1,
+    """An OSError that no check expects exits 3 ("runtime error"), never 1,
     which means "finished but unfair"."""
-    taken = tmp_path / "taken"
-    taken.write_text("", encoding="utf-8")
-    config = config_for(workspace, "run_out_is_a_file", out=str(taken))
+
+    def fail(*args, **kwargs):
+        raise OSError("simulated failure\non two lines")
+
+    monkeypatch.setattr(cli, "repeat_protocol", fail)
+    config = config_for(workspace, "run_unforeseen", out=str(tmp_path / "run"))
     assert main(["reweigh", "--config", str(config)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("runtime error: FileExistsError: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == "runtime error: OSError: simulated failure on two lines\n"
+    assert "Traceback" not in err
 
 
 def test_gen_synth_rejects_a_non_numeric_noise_std(workspace, tmp_path, capsys):
@@ -635,3 +727,38 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert "fairweigh" in loaded
     allowed = set(sys.stdlib_module_names) | {"numpy", "fairweigh"}
     assert loaded <= allowed, sorted(loaded - allowed)
+
+
+def _shown(default) -> str:
+    """A default as the config reference writes it."""
+    if default is MISSING:
+        return "required"
+    if is_dataclass(default):  # a nested settings object defaults to {}
+        return "{}"
+    if isinstance(default, str):
+        return default
+    return json.dumps(list(default) if isinstance(default, tuple) else default)
+
+
+def test_the_config_reference_lists_every_field_with_its_default_and_rule():
+    """Each run-config and train field has one row in the reference, with
+    the default and the rule the code checks, and the reference lists no
+    other field."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config-reference.md").read_text(
+        encoding="utf-8"
+    )
+    section = text.split("## Run config (JSON)")[1].split("\n## ")[0]
+    run_part, train_part = section.split("`train` accepts any of")
+    for settings, part, default_cell in ((RunConfig, run_part, 2), (TrainConfig, train_part, 1)):
+        rows = {}
+        for line in part.splitlines():
+            if line.startswith("| `"):
+                cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+                assert cells[0] not in rows, f"{cells[0]} is listed twice"
+                rows[cells[0]] = cells
+        assert sorted(rows) == sorted(f"`{f.name}`" for f in fields(settings))
+        for f in fields(settings):
+            cells = rows[f"`{f.name}`"]
+            assert cells[default_cell].strip("`") == _shown(f.default), f.name
+            if "rule" in f.metadata:
+                assert f.metadata["rule"].requirement in " ".join(cells), f.name

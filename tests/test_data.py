@@ -59,6 +59,22 @@ def test_load_csv_missing_header_column(tmp_path):
         load_csv(path, [("x", "continuous"), ("y", "categorical")])
 
 
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        ([("x", "continous"), ("y", "categorical")], "column 'x': unknown kind 'continous'"),
+        ([("x", "continuous"), ("x", "categorical")], "column 'x' appears twice"),
+    ],
+    ids=["misspelt-kind", "column-twice"],
+)
+def test_load_csv_refuses_a_bad_schema_naming_the_column(tmp_path, schema, message):
+    """A misspelt kind was read as categorical, and a column named twice
+    failed with "columns have differing lengths"."""
+    path = write_csv(tmp_path / "d.csv", "x,y\n1.0,a\n")
+    with pytest.raises(DataError, match=message):
+        load_csv(path, schema)
+
+
 def test_zscore_values_and_inverse():
     ds = ColumnarDataset([Column("v", "continuous", np.array([1.0, 2.0, 3.0]))])
     enc = Encoder().fit(ds)

@@ -47,6 +47,22 @@ def test_progress_contract():
         progress(-1, 10)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 1.5), ("seed", -1), ("batch_size", True), ("momentum", 1.0),
+     ("momentum", "0.9"), ("hidden", (32, 0)), ("critic_hidden", "32")],
+)
+def test_train_config_checks_every_field_against_its_rule(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_holds_layer_widths_as_tuples():
+    config = TrainConfig(hidden=[8], critic_hidden=[4, 4])
+    assert config.hidden == (8,) and config.critic_hidden == (4, 4)
+    assert replace(config, seed=1).hidden == (8,)
+
+
 def test_batch_size_cannot_exceed_samples():
     scm, ds, enc, model, _ = small_setup(n=32)
     cfg = TrainConfig(epochs=1, batch_size=64)
