@@ -50,7 +50,7 @@ print(f"weights: min {weights.values.min():.2f}, max {weights.values.max():.2f},
       f"{np.mean(weights.values == 0):.0%} zeroed, "
       f"deviation/m {weights.deviation() / ds.m:.3f} (cap {config.balance})")
 
-export_weights(ds.replace_weights(weights.values), "/tmp/benchmark_weights.csv")
+export_weights(ds, weights.values, "/tmp/benchmark_weights.csv")
 print("\nper-sample weights written to /tmp/benchmark_weights.csv")
 print("(rows sorted by weight; the top rows are the samples least moved by")
 print("the intervention, the bottom rows the most moved)")

@@ -57,7 +57,7 @@ from .graph import (
     total_path_set,
     validate_path_set,
 )
-from .model import ModelError, StructuredModel
+from .model import ModelError, StructuredModel, check_inputs
 from .reweighter import SolverError
 from .synth import (
     LABELS,
@@ -135,6 +135,23 @@ def load_inputs(run: RunConfig) -> tuple[ColumnarDataset, CausalGraph, dict]:
     return ds, graph, declared_levels
 
 
+def check_against_data(
+    run: RunConfig, graph: CausalGraph, encoder: Encoder, rows: int | None
+) -> None:
+    """Refuse, naming the field, the settings that only the graph and the
+    data can judge (see :func:`fairweigh.model.check_inputs`), and a batch
+    larger than the ``rows`` that training batches (None when none trains)."""
+    try:
+        check_inputs(graph, encoder, run.critic_context_nodes)
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from None
+    if rows is not None and run.train.batch_size > rows:
+        raise ConfigError(
+            f"batch_size must be at most the {rows} rows that training batches, "
+            f"got {run.train.batch_size}"
+        )
+
+
 def build_mode(run: RunConfig, graph: CausalGraph) -> PathSet:
     if run.mode == "total":
         return total_path_set(graph)
@@ -188,8 +205,12 @@ def cmd_reweigh(args) -> int:
     config, run = read_config(args)
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
+    encoder = Encoder().fit(ds, declared_levels)
     # a condition value must be a declared or observed level of its node
-    validate_path_set(graph, mode, Encoder().fit(ds, declared_levels).levels)
+    validate_path_set(graph, mode, encoder.levels)
+    # every repetition's training split has as many rows as the first one's
+    train_rows = split_indices(ds.m, SplitPlan(run.train.seed, run.train_fraction))[0]
+    check_against_data(run, graph, encoder, train_rows.size)
     out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(out_dir, config, run.train.seed, graph)
@@ -213,15 +234,13 @@ def cmd_reweigh(args) -> int:
     for art in artifacts:
         rep_dir = out_dir / f"rep_{art['repetition']}"
         rep_dir.mkdir(exist_ok=True)
-        export_weights(
-            art["train"].replace_weights(art["weights"]), rep_dir / "weights.csv"
-        )
+        export_weights(art["train"], art["weights"], rep_dir / "weights.csv")
         write_log(art["log"], rep_dir / "train_log.jsonl")
         art["model"].save(rep_dir / "checkpoint.npz")
         mean_weights[art["train_rows"]] += art["weights"]
         counts[art["train_rows"]] += 1.0
     averaged = np.where(counts > 0, mean_weights / np.maximum(counts, 1.0), 1.0)
-    export_weights(ds.replace_weights(averaged), out_dir / "weights_mean.csv")
+    export_weights(ds, averaged, out_dir / "weights_mean.csv")
     _write_report(out_dir, report)
     print(report.render_table())
     return 0 if report.passed else 1
@@ -276,6 +295,7 @@ def cmd_effects(args) -> int:
     mode = build_mode(run, graph)
     encoder = Encoder().fit(ds, declared_levels)
     validate_path_set(graph, mode, encoder.levels)
+    check_against_data(run, graph, encoder, None if args.checkpoint else ds.m)
     weights = _read_weights(args.weights, ds.m) if args.weights else None
 
     model = StructuredModel(
@@ -307,11 +327,7 @@ def cmd_effects(args) -> int:
     distance = None
     if weights is not None and run.wasserstein:
         distance = wasserstein_distance(
-            ds,
-            ds.replace_weights(weights),
-            encoder,
-            seed=run.train.seed,
-            steps=run.wasserstein_steps,
+            ds, weights, encoder, seed=run.train.seed, steps=run.wasserstein_steps
         )
     report = EffectReport(
         mode=mode.mode,

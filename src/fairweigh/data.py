@@ -49,9 +49,9 @@ class Column:
 
 
 class ColumnarDataset:
-    """Immutable set of equal-length columns with optional per-sample weights."""
+    """Immutable set of equal-length columns."""
 
-    def __init__(self, columns: Sequence[Column], weights: np.ndarray | None = None):
+    def __init__(self, columns: Sequence[Column]):
         if not columns:
             raise DataError("dataset needs at least one column")
         self._by_name = {c.name: c for c in columns}
@@ -63,13 +63,6 @@ class ColumnarDataset:
             raise DataError(f"columns have differing lengths: {sorted(lengths)}")
         self.columns: tuple[Column, ...] = tuple(columns)
         self.m = lengths.pop()
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (self.m,):
-                raise DataError(
-                    f"weights length {weights.shape} does not match m={self.m}"
-                )
-        self.weights = weights
 
     @property
     def names(self) -> list[str]:
@@ -82,12 +75,7 @@ class ColumnarDataset:
 
     def take(self, indices) -> "ColumnarDataset":
         idx = np.asarray(indices)
-        cols = [Column(c.name, c.kind, c.values[idx]) for c in self.columns]
-        w = None if self.weights is None else self.weights[idx]
-        return ColumnarDataset(cols, w)
-
-    def replace_weights(self, weights: np.ndarray | None) -> "ColumnarDataset":
-        return ColumnarDataset(self.columns, weights)
+        return ColumnarDataset([Column(c.name, c.kind, c.values[idx]) for c in self.columns])
 
     def __repr__(self):
         return f"ColumnarDataset(m={self.m}, columns={self.names})"
@@ -335,14 +323,16 @@ def write_csv(ds: ColumnarDataset, path, order=None, lead=()) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def export_weights(ds: ColumnarDataset, path) -> None:
-    """Write rows sorted by descending weight (stable by original index).
+def export_weights(ds: ColumnarDataset, weights: np.ndarray, path) -> None:
+    """Write the rows of ``ds`` sorted by descending weight (stable by
+    original index), ``weights`` holding one weight per row.
 
     Output columns: original row index, weight, then every raw column, which
     supports inspecting the most and least up-weighted sub-populations.
     """
-    if ds.weights is None:
-        raise DataError("dataset carries no weights to export")
-    order = np.lexsort((np.arange(ds.m), -ds.weights))
-    write_csv(ds, path, order, lead=(("index", order), ("weight", ds.weights[order])))
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (ds.m,):
+        raise DataError(f"weights of shape {weights.shape} for a dataset of {ds.m} rows")
+    order = np.lexsort((np.arange(ds.m), -weights))
+    write_csv(ds, path, order, lead=(("index", order), ("weight", weights[order])))
 

@@ -37,10 +37,13 @@ __all__ = [
 ]
 
 
-def _normalized(weights: np.ndarray, m: int) -> np.ndarray:
+def _normalized(weights: np.ndarray | None, m: int, rows: np.ndarray | None = None) -> np.ndarray:
+    """``weights`` over ``m`` rows (ones when None), taken at ``rows`` (all
+    when None) and normalized inside them."""
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError(f"weights shape {w.shape} does not match m={m}")
+    w = w if rows is None else w[rows]
     bad = ~(np.isfinite(w) & (w >= 0))
     if bad.any():
         i = int(np.argmax(bad))
@@ -51,14 +54,6 @@ def _normalized(weights: np.ndarray, m: int) -> np.ndarray:
     if total <= 0:
         raise ValueError("weights must have positive total mass")
     return w / total
-
-
-def _pair_weights(weights: np.ndarray | None, m: int, rows: np.ndarray) -> np.ndarray:
-    """Weights of the pair's rows, normalized inside them."""
-    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != (m,):
-        raise ValueError(f"weights shape {w.shape} does not match m={m}")
-    return _normalized(w[rows], rows.size)
 
 
 def total_effect(
@@ -115,7 +110,7 @@ def estimate_effect(
     if pair is None:
         x = model.encoder.transform(ds) if x is None else x
         pair = model.interventional_pair(x, model.pair_mask(ds))
-    omega = _pair_weights(weights, ds.m, pair.rows)
+    omega = _normalized(weights, ds.m, pair.rows)
     return float(omega @ pair.y_plus - omega @ pair.y_minus)
 
 
@@ -150,7 +145,7 @@ def scaled_critic_gap(
     if spread < 1e-12:
         warnings.warn("critic output is constant; gap diagnostic degenerate")
         return 0.0
-    omega = _pair_weights(weights, m, rows)
+    omega = _normalized(weights, m, rows)
     return float(omega @ ((d_plus - low) / spread) - omega @ ((d_minus - low) / spread))
 
 
@@ -215,27 +210,17 @@ def wasserstein_estimate(
 
 
 def wasserstein_distance(
-    original: ColumnarDataset,
-    reweighted: ColumnarDataset,
+    ds: ColumnarDataset,
+    weights: np.ndarray,
     encoder: Encoder | None = None,
     seed: int = 0,
     steps: int = RunConfig.wasserstein_steps,
 ) -> float:
-    """Dataset-level wrapper: encode both sides with one shared transform,
-    once when they hold the same columns (``reweighted`` is ``original``
-    with other weights)."""
-    if original.names != reweighted.names:
-        raise DataError("datasets must share a schema")
-    enc = Encoder().fit(original) if encoder is None else encoder
-    x_original = enc.transform(original)
-    same_rows = all(a is b for a, b in zip(original.columns, reweighted.columns))
-    return wasserstein_estimate(
-        x_original,
-        x_original if same_rows else enc.transform(reweighted),
-        weights=reweighted.weights,
-        seed=seed,
-        steps=steps,
-    )
+    """Dataset-level wrapper: the distance between the rows of ``ds`` and the
+    same rows under ``weights``, encoded once (by ``encoder``, or one fitted
+    to ``ds``)."""
+    x = (Encoder().fit(ds) if encoder is None else encoder).transform(ds)
+    return wasserstein_estimate(x, x, weights, seed=seed, steps=steps)
 
 
 # -- observational metrics -------------------------------------------------------

@@ -13,7 +13,10 @@ Intermediate categorical values propagate as probability vectors (soft,
 deterministic); binary nodes expand a scalar success probability p into the
 two-column representation (1-p, p) that matches their one-hot encoding.  The
 model owns the interventional :class:`Pair`: which rows a mode's contrast
-covers, and their critic context.  The pair cascades its rows in blocks of
+covers, and their critic context.  In every mode the pair is one routed
+cascade: a reference pass with the sensitive node clamped low, and a high arm
+that recomputes the nodes on the mode's route (every sensitive-to-outcome
+edge unless the mode selects paths).  The pair cascades its rows in blocks of
 :data:`PAIR_BLOCK_ROWS`, so a pass over a whole training split holds the
 cascade's arrays for one block at a time, with outcomes bit-identical to one
 pass.
@@ -31,7 +34,7 @@ import numpy as np
 from .autodiff import Tensor
 from .config import TrainConfig
 from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
-from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes
+from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes, total_path_set
 from .nn import (
     BLOCK_ROWS,
     ParamStore,
@@ -50,7 +53,7 @@ from .nn import (
 # with those of one pass.
 PAIR_BLOCK_ROWS = 4 * BLOCK_ROWS
 
-__all__ = ["ModelError", "Pair", "StructuredModel", "condition_mask"]
+__all__ = ["ModelError", "Pair", "StructuredModel", "check_inputs", "condition_mask"]
 
 EPS = 1e-12
 
@@ -83,6 +86,31 @@ def condition_mask(ds: ColumnarDataset, condition) -> np.ndarray:
     return mask
 
 
+def check_inputs(graph: CausalGraph, encoder: Encoder, context_nodes) -> None:
+    """Refuse what a model cannot be built from: a sensitive node or outcome
+    that is not binary, a categorical node whose ``encoder`` levels (declared,
+    or seen in the data) number other than ``graph`` declares, and a critic
+    context node that names no node, or the sensitive node or a descendant."""
+    for role, name in (("sensitive", graph.sensitive), ("outcome", graph.outcome)):
+        if not graph.node(name).is_binary:
+            raise ModelError(f"{role} node {name!r} must be binary")
+    for spec in graph.nodes:
+        levels = encoder.levels(spec.name) if spec.kind == CATEGORICAL else None
+        if levels is not None and len(levels) != spec.cardinality:
+            raise ModelError(
+                f"schema levels of {spec.name!r} must number the {spec.cardinality} the "
+                f"graph declares, got {levels} (declared, or seen in the data)"
+            )
+    descendants = graph.descendants(graph.sensitive)
+    for name in context_nodes:
+        if name not in {spec.name for spec in graph.nodes}:
+            raise ModelError(f"critic_context_nodes names unknown node {name!r}")
+        if name == graph.sensitive or name in descendants:
+            raise ModelError(
+                f"critic_context_nodes names {name!r}, which depends on the sensitive node"
+            )
+
+
 class Pair(NamedTuple):
     """The interventional contrast the critic discriminates: outcome
     probabilities under the high and low arm for the covered ``rows`` of the
@@ -112,27 +140,8 @@ class StructuredModel:
         self.mode = mode
         self.critic_context_nodes = tuple(critic_context_nodes)
 
-        for role, name in (("sensitive", graph.sensitive), ("outcome", graph.outcome)):
-            if not graph.node(name).is_binary:
-                raise ModelError(f"{role} node {name!r} must be binary")
-        for spec in graph.nodes:
-            if spec.kind == CATEGORICAL:
-                observed = encoder.block_width(spec.name)
-                if observed != spec.cardinality:
-                    raise ModelError(
-                        f"node {spec.name!r}: graph declares {spec.cardinality} levels "
-                        f"but the data has {observed}"
-                    )
-
+        check_inputs(graph, encoder, self.critic_context_nodes)
         self._descendants = graph.descendants(graph.sensitive)
-        for name in self.critic_context_nodes:
-            if name not in {s.name for s in graph.nodes}:
-                raise ModelError(f"critic context names unknown node {name!r}")
-            if name == graph.sensitive or name in self._descendants:
-                raise ModelError(
-                    f"critic context node {name!r} must not depend on the "
-                    "sensitive node"
-                )
 
         # the clamped cascades run only what the outcome can depend on
         self._outcome_ancestry = graph.outcome_ancestry()
@@ -161,9 +170,10 @@ class StructuredModel:
         }
         context_blocks = [encoder.block(n) for n in self.critic_context_nodes]
         self._context_columns = [c for b in context_blocks for c in range(b.start, b.stop)]
-        self._pi_active = (
-            pi_active_nodes(graph, mode) if mode.mode == "path_specific" else frozenset()
-        )
+        # the edges that carry the pair's high arm: the mode's own when it
+        # selects paths, else every sensitive-to-outcome edge
+        self._route = mode if mode.mode == "path_specific" else total_path_set(graph)
+        self._pi_active = pi_active_nodes(graph, self._route)
 
     def _head(self, name: str) -> tuple[str, int]:
         spec = self.graph.node(name)
@@ -287,16 +297,19 @@ class StructuredModel:
         the interventional parent value when the edge carries the intervention
         and the reference value otherwise.
         """
-        return self._path_specific_pair(x, s)[0]
-
-    def _path_specific_pair(self, x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """(path-specific outcome at s, reference outcome at 0) from one
-        reference cascade."""
         self._check_s(s)
         if self.mode.mode != "path_specific":
             raise ModelError(f"model mode is {self.mode.mode!r}, not path_specific")
         if not self.mode.on_pi_edges:
             raise ModelError("path_specific mode with empty edge set")
+        return self._routed_pair(x, s)[0]
+
+    def _routed_pair(self, x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """(outcome at s routed along the pair's edges, reference outcome at
+        0) from one reference cascade.  Along every sensitive-to-outcome edge
+        the routed pass recomputes each descendant the outcome depends on from
+        the same inputs as :meth:`intervene_total`, so it equals that clamp bit
+        for bit."""
         reference = self._interventional_values(x, 0.0)
         inter: dict[str, np.ndarray] = {}
         for name in self._outcome_ancestry:
@@ -305,7 +318,7 @@ class StructuredModel:
             elif name in self._pi_active:
                 inputs = self._join(
                     [
-                        inter[p] if (p, name) in self.mode.on_pi_edges else reference[p]
+                        inter[p] if (p, name) in self._route.on_pi_edges else reference[p]
                         for p in self.graph.parents(name)
                     ]
                 )
@@ -348,18 +361,12 @@ class StructuredModel:
         starts = range(0, max(rows.size - 1, 1), PAIR_BLOCK_ROWS)
         for start, stop in zip(starts, [*starts[1:], rows.size]):
             block = x[start:stop] if mask is None else x[rows[start:stop]]
-            y_plus[start:stop], y_minus[start:stop] = self._pair_outcomes(block)
+            y_plus[start:stop], y_minus[start:stop] = self._routed_pair(block, 1)
         context = None
         if self.critic_context_nodes:
             columns = self._context_columns
             context = x[:, columns] if mask is None else x[np.ix_(rows, columns)]
         return Pair(y_plus, y_minus, rows, context)
-
-    def _pair_outcomes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The mode's (high, low) arm outcomes of the rows of ``x``."""
-        if self.mode.mode == "path_specific":
-            return self._path_specific_pair(x, 1)
-        return self.intervene_total(x, 1), self.intervene_total(x, 0)
 
     def _check_s(self, s: int) -> None:
         if s not in (0, 1):

@@ -246,7 +246,7 @@ def train(
                     gradient_penalty=loop.last_penalty,
                     effect=estimate_effect(model, ds, weights=loop.weights, pair=pair),
                     critic_gap=loop.last_critic_gap,
-                    weight_deviation=float(np.sum((loop.weights - 1.0) ** 2)),
+                    weight_deviation=weight_vector.deviation(),
                 )
         except (FloatingPointError, SolverError) as exc:
             model.params.restore(snapshot)
@@ -334,23 +334,17 @@ def repeat_protocol(
         if compute_wasserstein:
             distances.append(
                 wasserstein_distance(
-                    train_ds,
-                    train_ds.replace_weights(w),
-                    encoder,
-                    seed=rep_config.seed,
-                    steps=wasserstein_steps,
+                    train_ds, w, encoder, seed=rep_config.seed, steps=wasserstein_steps
                 )
             )
         artifacts.append(
             {
                 "repetition": rep,
                 "model": model,
-                "encoder": encoder,
                 "weights": w,
                 "log": log,
                 "train": train_ds,
                 "train_rows": train_rows,
-                "test": test_ds,
             }
         )
     report = EffectReport(

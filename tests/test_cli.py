@@ -611,6 +611,38 @@ def test_a_bad_config_field_exits_2_naming_it_before_any_file_is_read(
     assert taken.read_text(encoding="utf-8") == ""
 
 
+@pytest.mark.parametrize("command", ["reweigh", "effects"])
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        pytest.param("batch_size", _train_with(batch_size=5000), id="batch_size-above-rows"),
+        pytest.param("critic_context_nodes", {"critic_context_nodes": ["nope"]},
+                     id="context-unknown"),
+        pytest.param("critic_context_nodes", {"critic_context_nodes": ["med"]},
+                     id="context-descendant"),
+        pytest.param("schema", {"schema": _schema_with(1, levels=["0", "1", "2"])},
+                     id="levels-three-for-two"),
+    ],
+)
+def test_a_setting_the_data_refuses_exits_2_naming_it_before_any_output(
+    workspace, tmp_path, capsys, command, field, overrides
+):
+    """Each once exited 3 once training began, reweigh after writing its
+    manifest: a batch above the rows that training batches (the 480-row
+    training split for reweigh, the 600-row file for effects), a critic
+    context node that names no node or a descendant of ``s``, and three
+    declared levels for a node the graph declares with two."""
+    out = tmp_path / "run"
+    config = config_for(workspace, "run_data_setting", out=str(out), **overrides)
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field} "), err
+    if field == "batch_size":
+        rows = 480 if command == "reweigh" else 600
+        assert f"at most the {rows} rows that training batches, got 5000" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [("reweigh", "--seed"), ("effects", "--seed"), ("evaluate", "--seed"),

@@ -187,19 +187,15 @@ def test_encoding_fit_on_train_only_no_leakage():
 
 
 def test_export_weights_sorted_with_stable_ties(tmp_path):
-    ds = ColumnarDataset(
-        [Column("v", "continuous", np.array([10.0, 20.0, 30.0]))],
-        weights=np.array([2.0, 0.5, 0.5]),
-    )
+    ds = ColumnarDataset([Column("v", "continuous", np.array([10.0, 20.0, 30.0]))])
     out = tmp_path / "w.csv"
-    export_weights(ds, out)
+    export_weights(ds, np.array([2.0, 0.5, 0.5]), out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "index,weight,v"
     order = [int(line.split(",")[0]) for line in lines[1:]]
     assert order == [0, 1, 2]  # highest weight first, ties by index
 
-    uniform = ds.replace_weights(np.ones(3))
-    export_weights(uniform, out)
+    export_weights(ds, np.ones(3), out)
     lines = out.read_text().strip().splitlines()
     assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
 
@@ -209,11 +205,10 @@ def test_export_weights_pins_the_exact_bytes(tmp_path):
         [
             Column("v", "continuous", np.array([1e-05, 2.5, -3.0, 0.1])),
             Column("g", "categorical", np.array(["b", "a,c", "a", "b"])),
-        ],
-        weights=np.array([0.5, 1e-05, 2.0, 0.5]),
+        ]
     )
     out = tmp_path / "w.csv"
-    export_weights(ds, out)
+    export_weights(ds, np.array([0.5, 1e-05, 2.0, 0.5]), out)
     assert out.read_bytes() == (
         b"index,weight,v,g\r\n"
         b"2,2.0,-3.0,a\r\n"
@@ -223,15 +218,16 @@ def test_export_weights_pins_the_exact_bytes(tmp_path):
     )
 
 
-def test_export_requires_weights(tmp_path):
+def test_export_refuses_weights_of_another_length(tmp_path):
     ds = ColumnarDataset([Column("v", "continuous", np.array([1.0, 2.0]))])
-    with pytest.raises(DataError, match="no weights"):
-        export_weights(ds, tmp_path / "w.csv")
+    for weights, shown in ((np.ones(3), r"\(3,\)"), (np.ones((2, 1)), r"\(2, 1\)")):
+        with pytest.raises(DataError, match=rf"weights of shape {shown} for a dataset of 2 rows"):
+            export_weights(ds, weights, tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()
 
 
-def test_take_and_replace_weights_do_not_mutate():
+def test_take_does_not_mutate():
     ds = ColumnarDataset([Column("v", "continuous", np.array([1.0, 2.0, 3.0]))])
     sub = ds.take([2, 0])
     assert np.array_equal(sub.column("v").values, [3.0, 1.0])
-    weighted = ds.replace_weights(np.array([1.0, 2.0, 3.0]))
-    assert ds.weights is None and weighted.weights is not None
+    assert np.array_equal(ds.column("v").values, [1.0, 2.0, 3.0])

@@ -113,7 +113,7 @@ def test_write_csv_and_export_weights_write_the_bytes_of_csv_writer(
         st.floats(0.0, 4.0) | st.sampled_from([0.0, 1.0, 5e-324]),
         min_size=ds.m, max_size=ds.m,
     )))
-    export_weights(ds.replace_weights(weights), folder / "weights.csv")
+    export_weights(ds, weights, folder / "weights.csv")
     order = np.lexsort((np.arange(ds.m), -weights))
     lead = (("index", order), ("weight", weights[order]))
     assert (folder / "weights.csv").read_bytes() == csv_writer_bytes(ds, order, lead)

@@ -161,9 +161,9 @@ def test_wasserstein_mass_concentration_increases_distance():
 
 
 def test_wasserstein_on_reweighted_rows_encodes_and_reads_out_once(bench_small, monkeypatch):
-    """Both callers pass a dataset and itself reweighted: the rows are
-    encoded once and the trained critic reads them out once, and the
-    distance is the one of two separate copies, bit for bit."""
+    """The distance between a dataset and its rows under weights encodes
+    the rows once and the trained critic reads them out once, and it is
+    the one of two separate copies, bit for bit."""
     _, ds, enc, _ = bench_small
     w = np.random.default_rng(2).uniform(0.0, 2.0, ds.m)
     x = enc.transform(ds)
@@ -179,7 +179,7 @@ def test_wasserstein_on_reweighted_rows_encodes_and_reads_out_once(bench_small, 
 
     monkeypatch.setattr(Encoder, "transform", counted("transform", Encoder.transform))
     monkeypatch.setattr(effects, "mlp_forward", counted("mlp_forward", effects.mlp_forward))
-    distance = wasserstein_distance(ds, ds.replace_weights(w), enc, seed=3, steps=40)
+    distance = wasserstein_distance(ds, w, enc, seed=3, steps=40)
     assert distance == two_copies
     assert calls == {"transform": 1, "mlp_forward": 1}
 
