@@ -13,7 +13,7 @@ from fairweigh import (
     Encoder,
     StructuredModel,
     TrainConfig,
-    total_effect,
+    estimate_effect,
     total_path_set,
     train,
 )
@@ -40,8 +40,8 @@ for record in log[::4] + [log[-1]]:
     print(f"  epoch {record.epoch:2d}: loss {record.fit_loss:.4f} "
           f"effect {record.effect:+.4f}")
 
-before = total_effect(model, ds, None, x)
-after = total_effect(model, ds, weights.values, x)
+before = estimate_effect(model, ds, x=x)
+after = estimate_effect(model, ds, x=x, weights=weights.values)
 print(f"\nuniform-weight estimate through these networks: {before:+.4f}")
 print("  (the weighted refit skews the fit on the zero-weight rows, so this")
 print("   reads higher than the oracle; an unweighted audit run recovers it)")

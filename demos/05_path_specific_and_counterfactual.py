@@ -11,11 +11,10 @@ from fairweigh import (
     Encoder,
     StructuredModel,
     TrainConfig,
-    counterfactual_effect,
     counterfactual_path_set,
+    estimate_effect,
     indirect_path_set,
     oracle_effect,
-    path_specific_effect,
     train,
 )
 from fairweigh.synth import benchmark_scm, generate
@@ -34,8 +33,8 @@ print("selected edges:", sorted(pi.on_pi_edges))
 truth, _ = oracle_effect(scm, pi, n=200_000, seed=1)
 model = StructuredModel(scm.graph, encoder, pi, seed=config.seed)
 model, weights, _ = train(model, ds, config)
-before = path_specific_effect(model, ds, None, x)
-after = path_specific_effect(model, ds, weights.values, x)
+before = estimate_effect(model, ds, x=x)
+after = estimate_effect(model, ds, x=x, weights=weights.values)
 print(f"oracle {truth:+.4f}   uniform-weight estimate {before:+.4f}   "
       f"reweighted {after:+.4f}")
 
@@ -44,8 +43,8 @@ cf = counterfactual_path_set(scm.graph, [("x2", "1")])
 truth, _ = oracle_effect(scm, cf, n=200_000, seed=1)
 model = StructuredModel(scm.graph, encoder, cf, seed=config.seed)
 model, weights, _ = train(model, ds, config)
-before = counterfactual_effect(model, ds, None, x)
-after = counterfactual_effect(model, ds, weights.values, x)
+before = estimate_effect(model, ds, x=x)
+after = estimate_effect(model, ds, x=x, weights=weights.values)
 matched = (ds.column("x2").values == "1").sum()
 print(f"{matched} of {ds.m} rows match the condition")
 print(f"oracle {truth:+.4f}   uniform-weight estimate {before:+.4f}   "

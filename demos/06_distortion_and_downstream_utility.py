@@ -14,9 +14,9 @@ from fairweigh import (
     StructuredModel,
     TrainConfig,
     downstream_accuracy,
+    estimate_effect,
     split,
     statistical_parity,
-    total_effect,
     total_path_set,
     train,
     wasserstein_estimate,
@@ -41,14 +41,14 @@ crude = np.where(train_ds.column("s").values == "1", 0.0, 1.0)
 crude *= train_ds.m / crude.sum()
 
 print("distance of the reweighted training data from the original")
-d_ours = wasserstein_estimate(x, x, w, seed=0, steps=1200)
-d_crude = wasserstein_estimate(x, x, crude, seed=0, steps=1200)
+d_ours = wasserstein_estimate(x, w, seed=0, steps=1200)
+d_crude = wasserstein_estimate(x, crude, seed=0, steps=1200)
 print(f"  adversarial weights: {d_ours:.3f}")
 print(f"  one group zeroed:    {d_crude:.3f}")
 
 print("\neffect and observational parity on the training split")
-print(f"  effect, uniform weights:   {total_effect(model, train_ds, None, x):+.4f}")
-print(f"  effect, solved weights:    {total_effect(model, train_ds, w, x):+.4f}")
+print(f"  effect, uniform weights:   {estimate_effect(model, train_ds, x=x):+.4f}")
+print(f"  effect, solved weights:    {estimate_effect(model, train_ds, x=x, weights=w):+.4f}")
 print(f"  parity, uniform weights:   {statistical_parity(train_ds, 's', 'y'):+.4f}")
 print(f"  parity, solved weights:    {statistical_parity(train_ds, 's', 'y', w):+.4f}")
 print("(statistical parity is observational; a causally fair reweighting")

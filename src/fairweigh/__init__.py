@@ -45,13 +45,10 @@ from .trainer import TrainConfig, TrainingError, repeat_protocol, train
 from .effects import (
     EffectReport,
     MetricSummary,
-    counterfactual_effect,
     discriminator_gap,
     downstream_accuracy,
     estimate_effect,
-    path_specific_effect,
     statistical_parity,
-    total_effect,
     wasserstein_distance,
     wasserstein_estimate,
 )

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -213,6 +214,10 @@ def cmd_reweigh(args) -> int:
     check_against_data(run, graph, encoder, train_rows.size)
     out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("rep_*"):  # left by an earlier run with more repeats
+        index = stale.name[len("rep_"):]
+        if stale.is_dir() and index.isdecimal() and int(index) >= run.repeats:
+            shutil.rmtree(stale)
     write_manifest(out_dir, config, run.train.seed, graph)
 
     report, artifacts = repeat_protocol(
@@ -246,7 +251,12 @@ def cmd_reweigh(args) -> int:
     return 0 if report.passed else 1
 
 
-def _read_weights(path, m: int) -> np.ndarray:
+def _read_weights(
+    path, m: int, rows: np.ndarray | None = None, where: str = "any row"
+) -> np.ndarray:
+    """The weights file at ``path`` over ``m`` rows, refused unless it puts
+    positive mass on the ``rows`` (all when None) that the command uses,
+    ``where`` naming them."""
     with open(_input_file(path, "weights"), newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"index", "weight"} <= set(reader.fieldnames):
@@ -278,6 +288,8 @@ def _read_weights(path, m: int) -> np.ndarray:
     if np.isnan(w).any():
         missing = int(np.isnan(w).sum())
         raise ConfigError(f"weights file covers {m - missing} of {m} rows")
+    if not (w if rows is None else w[rows]).sum() > 0:
+        raise ConfigError(f"weights file {path} puts no weight on {where}")
     return w
 
 
@@ -296,7 +308,6 @@ def cmd_effects(args) -> int:
     encoder = Encoder().fit(ds, declared_levels)
     validate_path_set(graph, mode, encoder.levels)
     check_against_data(run, graph, encoder, None if args.checkpoint else ds.m)
-    weights = _read_weights(args.weights, ds.m) if args.weights else None
 
     model = StructuredModel(
         graph,
@@ -307,6 +318,12 @@ def cmd_effects(args) -> int:
         critic_hidden=run.train.critic_hidden,
         critic_context_nodes=run.critic_context_nodes,
     )
+    mask = model.pair_mask(ds)
+    weights = None
+    if args.weights:
+        matching = ", ".join(f"{name}={value}" for name, value in mode.condition)
+        where = "any row" if mask is None else f"a row matching {matching}"
+        weights = _read_weights(args.weights, ds.m, mask, where)
     if args.checkpoint:
         checkpoint = _input_file(args.checkpoint, "checkpoint")
         try:
@@ -316,7 +333,7 @@ def cmd_effects(args) -> int:
     else:  # the causal model alone: no trained critic, so no critic gap
         model, _, _ = train(model, ds, run.train)
 
-    pair = model.interventional_pair(encoder.transform(ds), model.pair_mask(ds))
+    pair = model.interventional_pair(encoder.transform(ds), mask)
     effect = estimate_effect(model, ds, weights=weights, pair=pair)
     gap = None
     if args.checkpoint:
@@ -387,7 +404,7 @@ def cmd_evaluate(args) -> int:
     train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
     weights = None
     if args.weights:
-        weights = _read_weights(args.weights, ds.m)[train_idx]
+        weights = _read_weights(args.weights, ds.m, train_idx, "the training split")[train_idx]
     encoder = Encoder().fit(train_ds, declared_levels)
     accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights, encoder)
     print(f"weighted logistic regression accuracy: {accuracy:.4f}")

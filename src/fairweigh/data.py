@@ -248,21 +248,6 @@ class Encoder:
                 out[np.arange(ds.m), blk.start + clipped] = 1.0
         return out
 
-    def decode_continuous(self, name: str, encoded: np.ndarray) -> np.ndarray:
-        mean, std = self._stats[name]
-        return encoded * std + mean
-
-    def decode_categorical(self, name: str, block: np.ndarray) -> np.ndarray:
-        levels = np.asarray(self._levels[name])
-        return levels[np.argmax(block, axis=1)]
-
-    def positive_level(self, name: str) -> str:
-        """Convention for binary columns: the lexicographically last level."""
-        levels = self.levels(name)
-        if len(levels) != 2:
-            raise DataError(f"column {name!r} is not binary (levels: {levels})")
-        return levels[1]
-
 
 def split_indices(m: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng([plan.seed, plan.repetition_index])

@@ -1,12 +1,13 @@
-"""Causal-effect estimators and utility metrics over (re)weighted data.
+"""The causal-effect estimator and utility metrics over (re)weighted data.
 
-Effect estimators are Monte-Carlo contrasts of the interventional forward
-passes under the reweighted empirical distribution: weighted mean of the
-outcome probability with the sensitive node clamped high minus the weighted
-mean with it clamped low.  Rescaling all weights by a positive constant never
-changes any estimate.  :func:`estimate_effect` and :func:`discriminator_gap`
-take the model's :class:`~fairweigh.model.Pair` as it is, with the weights
-renormalized inside its rows; a caller holding the pair passes it to both.
+:func:`estimate_effect` is the one effect estimator: the weighted mean
+outcome probability of the high arm of the model's
+:class:`~fairweigh.model.Pair` minus that of its low arm, with the weights
+renormalized inside the pair's rows, so rescaling them never changes it.
+The model's mode chooses the pair: total, path-specific (routed along the
+mode's edges) or counterfactual (over the rows matching the condition).
+:func:`discriminator_gap` reads the same pair; a caller holding it passes
+it to both.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ import numpy as np
 from .autodiff import backward
 from .config import RunConfig
 from .data import ColumnarDataset, DataError, Encoder
-from .model import ModelError, Pair, StructuredModel
+from .model import Pair, StructuredModel
 from .nn import Adam, ParamStore, Scratch, critic_loss, layer_sizes, mlp_forward
 
 __all__ = [
-    "total_effect",
-    "path_specific_effect",
-    "counterfactual_effect",
     "estimate_effect",
     "discriminator_gap",
     "wasserstein_estimate",
@@ -56,51 +54,10 @@ def _normalized(weights: np.ndarray | None, m: int, rows: np.ndarray | None = No
     return w / total
 
 
-def total_effect(
-    model: StructuredModel,
-    ds: ColumnarDataset,
-    weights: np.ndarray | None = None,
-    x: np.ndarray | None = None,
-) -> float:
-    """Weighted mean outcome-probability contrast across all causal routes."""
-    x = model.encoder.transform(ds) if x is None else x
-    omega = _normalized(weights, ds.m)
-    y_plus = model.intervene_total(x, 1)
-    y_minus = model.intervene_total(x, 0)
-    return float(omega @ y_plus - omega @ y_minus)
-
-
-def path_specific_effect(
-    model: StructuredModel,
-    ds: ColumnarDataset,
-    weights: np.ndarray | None = None,
-    x: np.ndarray | None = None,
-) -> float:
-    """Contrast of the path-restricted intervention against the low reference."""
-    _require_mode(model, "path_specific")
-    return estimate_effect(model, ds, x, weights)
-
-
-def counterfactual_effect(
-    model: StructuredModel,
-    ds: ColumnarDataset,
-    weights: np.ndarray | None = None,
-    x: np.ndarray | None = None,
-) -> float:
-    """Total contrast over the rows matching the model's condition, with the
-    weights renormalized inside that sub-population."""
-    _require_mode(model, "counterfactual")
-    return estimate_effect(model, ds, x, weights)
-
-
-def _require_mode(model: StructuredModel, mode: str) -> None:
-    if model.mode.mode != mode:
-        raise ModelError(f"model mode is {model.mode.mode!r}, not {mode}")
-
-
 def estimate_effect(
     model: StructuredModel,
     ds: ColumnarDataset,
+    *,
     x: np.ndarray | None = None,
     weights: np.ndarray | None = None,
     pair: Pair | None = None,
@@ -124,7 +81,7 @@ def discriminator_gap(
 
     Outputs for both interventional batches are min-max normalized against
     their pooled range; a degenerate (constant) critic yields 0 with a
-    warning.  Reported alongside the direct estimators, never instead.  A
+    warning.  Reported alongside the effect estimate, never instead.  A
     caller holding the model's pair over all of ``ds`` passes it as ``pair``.
     """
     if pair is None:
@@ -159,41 +116,39 @@ DISTANCE_BATCH = 256
 
 
 def wasserstein_estimate(
-    x_original: np.ndarray,
-    x_reweighted: np.ndarray,
+    x: np.ndarray,
     weights: np.ndarray | None = None,
     seed: int = 0,
     steps: int = RunConfig.wasserstein_steps,
 ) -> float:
-    """Critic-based distance between an empirical and a reweighted matrix.
+    """Critic-based distance between the rows of ``x`` and the same rows
+    under ``weights``.
 
     Trains a fresh gradient-penalty critic (the ``DISTANCE_*`` constants) on
-    full encoded rows to maximize E_original[C] - E_weighted[C] for a fixed
+    full encoded rows to maximize E_uniform[C] - E_weighted[C] for a fixed
     step budget, then returns the exact full-data objective of the trained
-    critic.  When both sides are one matrix (the same rows, reweighted), the
-    critic reads the rows out once.
+    critic, which reads the rows out once.
     """
-    x_a = np.asarray(x_original, dtype=np.float64)
-    x_b = np.asarray(x_reweighted, dtype=np.float64)
-    if x_a.ndim != 2 or x_b.ndim != 2 or x_a.shape[1] != x_b.shape[1]:
-        raise ValueError("row matrices must be 2-D with a common column count")
-    omega = _normalized(weights, x_b.shape[0])
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("the row matrix must be 2-D")
+    omega = _normalized(weights, x.shape[0])
 
     store = ParamStore(seed)
-    store.add_group("critic", layer_sizes(x_a.shape[1], DISTANCE_HIDDEN, 1), zero_final=True)
+    store.add_group("critic", layer_sizes(x.shape[1], DISTANCE_HIDDEN, 1), zero_final=True)
     layers, params = store.group("critic"), store.parameters(["critic"])
     opt = Adam(params, DISTANCE_LR)
     rng = np.random.default_rng([seed, 3])
 
-    # the draws of rng.choice(x_b.shape[0], size=batch, p=omega), with the
+    # the draws of rng.choice(x.shape[0], size=batch, p=omega), with the
     # CDF built once instead of on every step
     cdf = omega.cumsum()
     cdf /= cdf[-1]
-    batch = min(DISTANCE_BATCH, x_a.shape[0], x_b.shape[0])
+    batch = min(DISTANCE_BATCH, x.shape[0])
     scratch = Scratch(batch)
     for _ in range(steps):
-        rows_a = x_a[rng.integers(0, x_a.shape[0], size=batch)]
-        rows_b = x_b[cdf.searchsorted(rng.random(batch), side="right")]
+        rows_a = x[rng.integers(0, x.shape[0], size=batch)]
+        rows_b = x[cdf.searchsorted(rng.random(batch), side="right")]
         u = rng.uniform(0.0, 1.0, size=(batch, 1))
         x_hat = u * rows_a + (1.0 - u) * rows_b
         loss, _, _ = critic_loss(
@@ -204,9 +159,8 @@ def wasserstein_estimate(
         opt.step(backward(loss, params))
 
     del scratch
-    c_a = mlp_forward(layers, x_a, "linear")[:, 0]
-    c_b = c_a if x_b is x_a else mlp_forward(layers, x_b, "linear")[:, 0]
-    return float(c_a.mean() - omega @ c_b)
+    c = mlp_forward(layers, x, "linear")[:, 0]
+    return float(c.mean() - omega @ c)
 
 
 def wasserstein_distance(
@@ -220,7 +174,7 @@ def wasserstein_distance(
     same rows under ``weights``, encoded once (by ``encoder``, or one fitted
     to ``ds``)."""
     x = (Encoder().fit(ds) if encoder is None else encoder).transform(ds)
-    return wasserstein_estimate(x, x, weights, seed=seed, steps=steps)
+    return wasserstein_estimate(x, weights, seed=seed, steps=steps)
 
 
 # -- observational metrics -------------------------------------------------------

@@ -147,11 +147,6 @@ class CausalGraph:
         """The outcome and every node it depends on, in topological order."""
         return self.ancestry([self.outcome])
 
-    @property
-    def has_effect_path(self) -> bool:
-        """Whether any directed path runs from the sensitive node to the outcome."""
-        return self.outcome in self.descendants(self.sensitive)
-
     def __repr__(self):
         return (
             f"CausalGraph({len(self.nodes)} nodes, {len(self.edges)} edges, "

@@ -284,7 +284,6 @@ def repeat_protocol(
     declared_levels: dict | None = None,
     compute_wasserstein: bool = RunConfig.wasserstein,
     wasserstein_steps: int = RunConfig.wasserstein_steps,
-    compute_accuracy: bool = True,
     critic_context_nodes: tuple[str, ...] = RunConfig.critic_context_nodes,
 ) -> tuple[EffectReport, list[dict]]:
     """Independent train/test splits, one full training run per repetition.
@@ -327,10 +326,7 @@ def repeat_protocol(
                 train_ds, graph.sensitive, graph.outcome, w, declared_levels
             )
         )
-        if compute_accuracy:
-            accuracies.append(
-                downstream_accuracy(train_ds, test_ds, graph.outcome, w, encoder)
-            )
+        accuracies.append(downstream_accuracy(train_ds, test_ds, graph.outcome, w, encoder))
         if compute_wasserstein:
             distances.append(
                 wasserstein_distance(
@@ -353,7 +349,7 @@ def repeat_protocol(
         critic_gap=MetricSummary.of(gaps),
         wasserstein=MetricSummary.of(distances) if distances else None,
         parity=MetricSummary.of(parities),
-        accuracy=MetricSummary.of(accuracies) if accuracies else None,
+        accuracy=MetricSummary.of(accuracies),
         threshold=tau,
     )
     return report, artifacts

@@ -17,12 +17,7 @@ import pytest
 from fairweigh.autodiff import backward
 from fairweigh.cli import main as cli_main
 from fairweigh.data import Column, ColumnarDataset, Encoder
-from fairweigh.effects import (
-    counterfactual_effect,
-    path_specific_effect,
-    total_effect,
-    wasserstein_estimate,
-)
+from fairweigh.effects import estimate_effect, wasserstein_estimate
 from fairweigh.graph import (
     counterfactual_path_set,
     indirect_path_set,
@@ -204,16 +199,16 @@ def test_criterion_4_unweighted_effect_recovery(bench, oracles):
 
     model_te = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=2)
     model_te, _, _ = train(model_te, ds, config, fit_only=True)
-    te = total_effect(model_te, ds, None, x)
+    te = estimate_effect(model_te, ds, x=x)
 
     model_sp = StructuredModel(scm.graph, enc, indirect_path_set(scm.graph), seed=2)
     model_sp, _, _ = train(model_sp, ds, config, fit_only=True)
-    sp = path_specific_effect(model_sp, ds, None, x)
+    sp = estimate_effect(model_sp, ds, x=x)
 
     cf_mode = counterfactual_path_set(scm.graph, BENCH_CONDITION)
     model_ce = StructuredModel(scm.graph, enc, cf_mode, seed=2)
     model_ce, _, _ = train(model_ce, ds, config, fit_only=True)
-    ce = counterfactual_effect(model_ce, ds, None, x)
+    ce = estimate_effect(model_ce, ds, x=x)
 
     te_err = abs(te - oracles["te"][0])
     sp_err = abs(sp - oracles["sp"][0])
@@ -234,13 +229,13 @@ def test_criterion_5_fairness_attained_with_bounded_distortion(bench, oracles, r
     started = time.perf_counter()
 
     oracle_te = oracles["te"][0]
-    te_after = total_effect(model, ds, weights.values, x)
+    te_after = estimate_effect(model, ds, x=x, weights=weights.values)
     feasibility = check_feasibility(weights.values, 1.5)
 
-    distance_reweighted = wasserstein_estimate(x, x, weights.values, seed=0, steps=2000)
+    distance_reweighted = wasserstein_estimate(x, weights.values, seed=0, steps=2000)
     crude = np.where(ds.column("s").values == "1", 0.0, 1.0)
     crude *= ds.m / crude.sum()
-    distance_crude = wasserstein_estimate(x, x, crude, seed=0, steps=2000)
+    distance_crude = wasserstein_estimate(x, crude, seed=0, steps=2000)
 
     elapsed = train_time + time.perf_counter() - started
     passed = (
@@ -279,14 +274,14 @@ def test_criterion_6_degenerate_graph_keeps_unit_weights():
     model, weights, _ = train(model, ds, config)
     max_dev = float(np.max(np.abs(weights.values - 1.0)))
 
-    te = total_effect(model, ds, weights.values, x)
+    te = estimate_effect(model, ds, x=x, weights=weights.values)
     cf_model = StructuredModel(
         graph,
         enc,
         counterfactual_path_set(graph, [("y", ds.column("y").values[0])]),
         seed=3,
     )
-    ce = counterfactual_effect(cf_model, ds, weights.values, x)
+    ce = estimate_effect(cf_model, ds, x=x, weights=weights.values)
     report(
         "6",
         max_dev <= 1e-3 and te == 0.0 and ce == 0.0,
@@ -385,11 +380,11 @@ def test_criterion_8_adult_reproduction(tmp_path):
 
     base = StructuredModel(graph, enc, total_path_set(graph), seed=0)
     base, _, _ = train(base, train_ds, config, fit_only=True)
-    te_before = total_effect(base, train_ds, None, x)
+    te_before = estimate_effect(base, train_ds, x=x)
 
     model = StructuredModel(graph, enc, total_path_set(graph), seed=0)
     model, weights, _ = train(model, train_ds, config)
-    te_after = total_effect(model, train_ds, weights.values, x)
+    te_after = estimate_effect(model, train_ds, x=x, weights=weights.values)
     accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights.values, enc)
 
     passed = (
@@ -408,12 +403,12 @@ def test_criterion_8_adult_reproduction(tmp_path):
 def test_criterion_9_low_sensitivity_above_moderate_balance(bench, reweighted):
     scm, ds, enc, x = bench
     model_15, weights_15, _ = reweighted
-    te_15 = total_effect(model_15, ds, weights_15.values, x)
+    te_15 = estimate_effect(model_15, ds, x=x, weights=weights_15.values)
 
     model_20 = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=2)
     config = TrainConfig(**TRAIN_SETTINGS, balance=2.0)
     model_20, weights_20, _ = train(model_20, ds, config)
-    te_20 = total_effect(model_20, ds, weights_20.values, x)
+    te_20 = estimate_effect(model_20, ds, x=x, weights=weights_20.values)
 
     gap = abs(abs(te_15) - abs(te_20))
     report(

@@ -722,6 +722,58 @@ def test_weights_mean_averages_each_repetition_over_its_training_rows(workspace)
     assert np.array_equal(_read_weights(out / "weights_mean.csv", m), expected)
 
 
+def test_reweigh_removes_the_repetitions_of_an_earlier_run_with_more(workspace):
+    out = workspace / "run_stale"
+    fast = {**FAST_TRAIN, "epochs": 1}
+    config = config_for(workspace, "run_stale", repeats=3, train=fast)
+    assert main(["reweigh", "--config", str(config)]) in (0, 1)
+    (out / "rep_notes").mkdir()
+    assert main(["reweigh", "--config", str(config), "--repeats", "1"]) in (0, 1)
+    assert sorted(p.name for p in out.glob("rep_*")) == ["rep_0", "rep_notes"]
+    assert json.loads((out / "manifest.json").read_text())["config"]["repeats"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, overrides, zeroed, where",
+    [
+        pytest.param("effects", {}, "all", "any row", id="effects"),
+        pytest.param(
+            "effects", {"mode": "counterfactual", "condition": [["x2", "1"]]}, "x2=1",
+            "a row matching x2=1", id="effects-counterfactual",
+        ),
+        pytest.param("evaluate", {}, "train", "the training split", id="evaluate"),
+    ],
+)
+def test_weights_with_no_mass_on_the_rows_used_exit_2_before_any_fit(
+    workspace, tmp_path, monkeypatch, capsys, command, overrides, zeroed, where
+):
+    """A weights file that is zero on every row the command uses (all rows,
+    the rows matching the condition, or evaluate's training split) once
+    exited 3 after fitting; it is refused first, naming the file."""
+    ds = load_csv(workspace / "data.csv", [(c["name"], c["kind"]) for c in SCHEMA])
+    w = np.ones(ds.m)
+    if zeroed == "all":
+        w[:] = 0.0
+    elif zeroed == "x2=1":
+        w[ds.column("x2").values == "1"] = 0.0
+    else:
+        w[split_indices(ds.m, SplitPlan(FAST_TRAIN["seed"], 0.8))[0]] = 0.0
+    weights = tmp_path / "zero.csv"
+    weights.write_text(
+        "index,weight\n" + "".join(f"{i},{v}\n" for i, v in enumerate(w)), encoding="utf-8"
+    )
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the weights were checked")
+
+    monkeypatch.setattr(cli, "train", no_fit)
+    monkeypatch.setattr(cli, "downstream_accuracy", no_fit)
+    config = config_for(workspace, "run_zero", **overrides)
+    assert main([command, "--config", str(config), "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert f"weights file {weights} puts no weight on {where}" in err, err
+
+
 def test_path_specific_mode_runs(workspace):
     config = config_for(workspace, "run11", mode="path_specific", paths="indirect")
     assert main(["reweigh", "--config", str(config)]) in (0, 1)

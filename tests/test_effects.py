@@ -4,13 +4,10 @@ import pytest
 from fairweigh import effects
 from fairweigh.data import Column, ColumnarDataset, DataError, Encoder
 from fairweigh.effects import (
-    counterfactual_effect,
     discriminator_gap,
     downstream_accuracy,
     estimate_effect,
-    path_specific_effect,
     statistical_parity,
-    total_effect,
     wasserstein_distance,
     wasserstein_estimate,
 )
@@ -18,14 +15,21 @@ from fairweigh.graph import PathSet, counterfactual_path_set, total_path_set
 from fairweigh.model import Pair, StructuredModel
 
 
+def clamped_contrast(model, x, w):
+    """The total contrast computed by hand from the model's two clamps."""
+    omega = w / w.sum()
+    return float(omega @ model.intervene_total(x, 1) - omega @ model.intervene_total(x, 0))
+
+
 def test_total_effect_weight_rescaling_invariance(bench_small):
     scm, ds, enc, model = bench_small
     x = enc.transform(ds)
     rng = np.random.default_rng(0)
     w = rng.uniform(0.2, 3.0, ds.m)
-    base = total_effect(model, ds, w, x)
+    base = estimate_effect(model, ds, x=x, weights=w)
     for c in (0.01, 7.0):
-        assert total_effect(model, ds, c * w, x) == pytest.approx(base, abs=1e-12)
+        rescaled = estimate_effect(model, ds, x=x, weights=c * w)
+        assert rescaled == pytest.approx(base, abs=1e-12)
 
 
 def test_total_equals_path_specific_on_all_edges(bench_small):
@@ -34,9 +38,7 @@ def test_total_equals_path_specific_on_all_edges(bench_small):
     every = total_path_set(scm.graph).on_pi_edges
     model = StructuredModel(scm.graph, enc, PathSet("path_specific", every), seed=13)
     w = np.random.default_rng(1).uniform(0.5, 2.0, ds.m)
-    lhs = path_specific_effect(model, ds, w, x)
-    rhs = total_effect(model, ds, w, x)
-    assert lhs == rhs
+    assert estimate_effect(model, ds, x=x, weights=w) == clamped_contrast(model, x, w)
 
 
 def test_counterfactual_matching_everything_equals_total(bench_small):
@@ -49,18 +51,17 @@ def test_counterfactual_matching_everything_equals_total(bench_small):
     )
     mask = ds.column("x2").values == "0"
     w = np.random.default_rng(2).uniform(0.5, 2.0, ds.m)
-    want_plus = cf.intervene_total(x[mask], 1)
-    want_minus = cf.intervene_total(x[mask], 0)
-    omega = w[mask] / w[mask].sum()
-    assert counterfactual_effect(cf, ds, w, x) == pytest.approx(
-        float(omega @ want_plus - omega @ want_minus), abs=1e-12
+    assert estimate_effect(cf, ds, x=x, weights=w) == pytest.approx(
+        clamped_contrast(cf, x[mask], w[mask]), abs=1e-12
     )
 
 
 def test_estimate_effect_dispatches_by_mode(bench_small):
     scm, ds, enc, model = bench_small
     x = enc.transform(ds)
-    assert estimate_effect(model, ds, x) == total_effect(model, ds, None, x)
+    assert estimate_effect(model, ds, x=x) == clamped_contrast(model, x, np.ones(ds.m))
+    with pytest.raises(TypeError):  # x, weights and pair are keyword-only
+        estimate_effect(model, ds, x)
 
 
 def test_discriminator_gap_degenerate_critic_warns(bench_small):
@@ -141,33 +142,34 @@ def test_wasserstein_same_data_is_small():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         x = rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2.0), (800, 3))
-        assert wasserstein_estimate(x, x, None, seed=seed, steps=500) <= 0.05
+        assert wasserstein_estimate(x, None, seed=seed, steps=500) <= 0.05
 
 
-def test_wasserstein_point_masses_close_to_one():
-    a = np.zeros((400, 1))
-    b = np.ones((400, 1))
-    estimate = wasserstein_estimate(a, b, None, seed=0, steps=2000)
-    assert abs(estimate - 1.0) <= 0.1
+def test_wasserstein_point_masses_close_to_half():
+    # half the rows at 0, half at 1; the weights move all mass onto the ones
+    x = np.concatenate([np.zeros((400, 1)), np.ones((400, 1))])
+    w = np.concatenate([np.zeros(400), np.full(400, 2.0)])
+    estimate = wasserstein_estimate(x, w, seed=0, steps=2000)
+    assert abs(estimate - 0.5) <= 0.05
 
 
 def test_wasserstein_mass_concentration_increases_distance():
     rng = np.random.default_rng(4)
     modes = np.concatenate([rng.normal(-2, 0.3, (800, 1)), rng.normal(2, 0.3, (800, 1))])
-    uniform = wasserstein_estimate(modes, modes, None, seed=1, steps=700)
+    uniform = wasserstein_estimate(modes, None, seed=1, steps=700)
     concentrated_w = np.concatenate([np.full(800, 2.0), np.zeros(800)])
-    concentrated = wasserstein_estimate(modes, modes, concentrated_w, seed=1, steps=700)
+    concentrated = wasserstein_estimate(modes, concentrated_w, seed=1, steps=700)
     assert concentrated > uniform
 
 
 def test_wasserstein_on_reweighted_rows_encodes_and_reads_out_once(bench_small, monkeypatch):
     """The distance between a dataset and its rows under weights encodes
     the rows once and the trained critic reads them out once, and it is
-    the one of two separate copies, bit for bit."""
+    the estimate on the encoded matrix, bit for bit."""
     _, ds, enc, _ = bench_small
     w = np.random.default_rng(2).uniform(0.0, 2.0, ds.m)
     x = enc.transform(ds)
-    two_copies = wasserstein_estimate(x, x.copy(), w, seed=3, steps=40)
+    direct = wasserstein_estimate(x, w, seed=3, steps=40)
 
     calls = {"transform": 0, "mlp_forward": 0}
 
@@ -180,7 +182,7 @@ def test_wasserstein_on_reweighted_rows_encodes_and_reads_out_once(bench_small, 
     monkeypatch.setattr(Encoder, "transform", counted("transform", Encoder.transform))
     monkeypatch.setattr(effects, "mlp_forward", counted("mlp_forward", effects.mlp_forward))
     distance = wasserstein_distance(ds, w, enc, seed=3, steps=40)
-    assert distance == two_copies
+    assert distance == direct
     assert calls == {"transform": 1, "mlp_forward": 1}
 
 
@@ -190,10 +192,10 @@ def test_estimators_reject_negative_or_non_finite_weights(bench_small, bad):
     weights = np.ones(ds.m)
     weights[3] = bad
     with pytest.raises(ValueError, match="position 3"):
-        total_effect(model, ds, weights)
+        estimate_effect(model, ds, weights=weights)
     x = enc.transform(ds)
     with pytest.raises(ValueError, match="finite and non-negative"):
-        wasserstein_estimate(x, x, weights, steps=1)
+        wasserstein_estimate(x, weights, steps=1)
 
 
 def parity_dataset():

@@ -203,7 +203,6 @@ def test_path_sets_two_hop_diamond():
 
 def test_path_sets_unreachable(no_path_graph):
     assert simple_paths(no_path_graph) == []
-    assert not no_path_graph.has_effect_path
     total = total_path_set(no_path_graph)
     assert total.on_pi_edges == frozenset()
     assert pi_active_nodes(no_path_graph, total) == frozenset()
@@ -309,7 +308,6 @@ def test_path_sets_match_brute_force_enumeration():
 
         paths = simple_paths(g)
         on_path = frozenset(e for path in paths for e in path)
-        assert g.has_effect_path == bool(paths)
         assert total_path_set(g).on_pi_edges == on_path
         assert counterfactual_path_set(g, [(y, "1")]).on_pi_edges == on_path
         if on_path - {(s, y)}:

@@ -266,7 +266,6 @@ def test_repeat_protocol_varies_split_per_repetition():
         cfg,
         repeats=2,
         compute_wasserstein=False,
-        compute_accuracy=False,
     )
     first = artifacts[0]["train"].column("x1").values
     second = artifacts[1]["train"].column("x1").values
@@ -275,7 +274,6 @@ def test_repeat_protocol_varies_split_per_repetition():
         rows = art["train_rows"]
         assert rows.size == art["train"].m == 240
         assert np.array_equal(art["train"].column("x1").values, ds.column("x1").values[rows])
-    assert report.accuracy is None
     assert len(report.effect.values) == 2
 
 
@@ -445,7 +443,7 @@ def test_a_further_fit_step_allocates_under_a_megabyte():
 def test_logged_effect_reuses_the_full_pair(mode):
     ds, enc, model, cfg = mode_setup(mode, epochs=2)
     model, wv, log = train(model, ds, cfg)
-    expected = estimate_effect(model, ds, enc.transform(ds), wv.values)
+    expected = estimate_effect(model, ds, x=enc.transform(ds), weights=wv.values)
     assert log[-1].effect == pytest.approx(expected, rel=0, abs=1e-12)
 
 
@@ -472,8 +470,7 @@ def test_repeat_protocol_reports_the_logged_gap_and_runs_one_full_pair(monkeypat
 
     monkeypatch.setattr(StructuredModel, "interventional_pair", counted)
     report, artifacts = repeat_protocol(
-        ds, scm.graph, total_path_set(scm.graph), cfg, repeats=1,
-        compute_wasserstein=False, compute_accuracy=False,
+        ds, scm.graph, total_path_set(scm.graph), cfg, repeats=1, compute_wasserstein=False
     )
     art = artifacts[0]
     assert report.critic_gap.values == (art["log"][-1].critic_gap,)
@@ -498,7 +495,7 @@ def test_repeat_protocol_warns_on_a_degenerate_critic(no_path_graph):
     with pytest.warns(UserWarning, match="critic output is constant"):
         report, _ = repeat_protocol(
             ds, no_path_graph, total_path_set(no_path_graph), cfg, repeats=1,
-            compute_wasserstein=False, compute_accuracy=False,
+            compute_wasserstein=False,
         )
     assert report.critic_gap.values == (0.0,)
 
