@@ -56,7 +56,6 @@ from .graph import (
     indirect_path_set,
     parse_graph,
     total_path_set,
-    validate_path_set,
 )
 from .model import ModelError, StructuredModel, check_inputs
 from .reweighter import SolverError
@@ -137,13 +136,13 @@ def load_inputs(run: RunConfig) -> tuple[ColumnarDataset, CausalGraph, dict]:
 
 
 def check_against_data(
-    run: RunConfig, graph: CausalGraph, encoder: Encoder, rows: int | None
+    run: RunConfig, graph: CausalGraph, mode: PathSet, encoder: Encoder, rows: int | None
 ) -> None:
     """Refuse, naming the field, the settings that only the graph and the
     data can judge (see :func:`fairweigh.model.check_inputs`), and a batch
     larger than the ``rows`` that training batches (None when none trains)."""
     try:
-        check_inputs(graph, encoder, run.critic_context_nodes)
+        check_inputs(graph, encoder, mode, run.critic_context_nodes)
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
     if rows is not None and run.train.batch_size > rows:
@@ -207,11 +206,9 @@ def cmd_reweigh(args) -> int:
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
     encoder = Encoder().fit(ds, declared_levels)
-    # a condition value must be a declared or observed level of its node
-    validate_path_set(graph, mode, encoder.levels)
     # every repetition's training split has as many rows as the first one's
     train_rows = split_indices(ds.m, SplitPlan(run.train.seed, run.train_fraction))[0]
-    check_against_data(run, graph, encoder, train_rows.size)
+    check_against_data(run, graph, mode, encoder, train_rows.size)
     out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("rep_*"):  # left by an earlier run with more repeats
@@ -251,12 +248,10 @@ def cmd_reweigh(args) -> int:
     return 0 if report.passed else 1
 
 
-def _read_weights(
-    path, m: int, rows: np.ndarray | None = None, where: str = "any row"
-) -> np.ndarray:
+def _read_weights(path, m: int, uses=((None, "any row"),)) -> np.ndarray:
     """The weights file at ``path`` over ``m`` rows, refused unless it puts
-    positive mass on the ``rows`` (all when None) that the command uses,
-    ``where`` naming them."""
+    positive mass on each set of ``rows`` (all when None) that the command
+    uses, given in ``uses`` as ``(rows, where)`` with ``where`` naming them."""
     with open(_input_file(path, "weights"), newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"index", "weight"} <= set(reader.fieldnames):
@@ -288,8 +283,9 @@ def _read_weights(
     if np.isnan(w).any():
         missing = int(np.isnan(w).sum())
         raise ConfigError(f"weights file covers {m - missing} of {m} rows")
-    if not (w if rows is None else w[rows]).sum() > 0:
-        raise ConfigError(f"weights file {path} puts no weight on {where}")
+    for rows, where in uses:
+        if not (w if rows is None else w[rows]).sum() > 0:
+            raise ConfigError(f"weights file {path} puts no weight on {where}")
     return w
 
 
@@ -306,8 +302,7 @@ def cmd_effects(args) -> int:
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
     encoder = Encoder().fit(ds, declared_levels)
-    validate_path_set(graph, mode, encoder.levels)
-    check_against_data(run, graph, encoder, None if args.checkpoint else ds.m)
+    check_against_data(run, graph, mode, encoder, None if args.checkpoint else ds.m)
 
     model = StructuredModel(
         graph,
@@ -320,10 +315,14 @@ def cmd_effects(args) -> int:
     )
     mask = model.pair_mask(ds)
     weights = None
-    if args.weights:
+    if args.weights:  # the effect reads the pair's rows, the parity each sensitive group
         matching = ", ".join(f"{name}={value}" for name, value in mode.condition)
-        where = "any row" if mask is None else f"a row matching {matching}"
-        weights = _read_weights(args.weights, ds.m, mask, where)
+        s_values = ds.column(graph.sensitive).values
+        uses = [(mask, "any row" if mask is None else f"a row matching {matching}")] + [
+            (s_values == level, f"a row with {graph.sensitive}={level}")
+            for level in encoder.levels(graph.sensitive)
+        ]
+        weights = _read_weights(args.weights, ds.m, uses)
     if args.checkpoint:
         checkpoint = _input_file(args.checkpoint, "checkpoint")
         try:
@@ -338,9 +337,7 @@ def cmd_effects(args) -> int:
     gap = None
     if args.checkpoint:
         gap = MetricSummary.of([discriminator_gap(model, ds, weights, pair=pair)])
-    parity = statistical_parity(
-        ds, graph.sensitive, graph.outcome, weights, declared_levels
-    )
+    parity = statistical_parity(ds, graph.sensitive, graph.outcome, weights, encoder)
     distance = None
     if weights is not None and run.wasserstein:
         distance = wasserstein_distance(
@@ -404,7 +401,8 @@ def cmd_evaluate(args) -> int:
     train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
     weights = None
     if args.weights:
-        weights = _read_weights(args.weights, ds.m, train_idx, "the training split")[train_idx]
+        uses = [(train_idx, "the training split")]
+        weights = _read_weights(args.weights, ds.m, uses)[train_idx]
     encoder = Encoder().fit(train_ds, declared_levels)
     accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights, encoder)
     print(f"weighted logistic regression accuracy: {accuracy:.4f}")

@@ -16,7 +16,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .data import CATEGORICAL, CONTINUOUS
+CONTINUOUS = "continuous"
+CATEGORICAL = "categorical"
 
 
 class ConfigError(ValueError):

@@ -10,10 +10,12 @@ held-out rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
+
+from .config import CATEGORICAL, CONTINUOUS, RunConfig, check_fields, setting
 
 __all__ = [
     "DataError",
@@ -28,8 +30,6 @@ __all__ = [
     "export_weights",
 ]
 
-CONTINUOUS = "continuous"
-CATEGORICAL = "categorical"
 _WRITE_BLOCK = 1024  # rows per block of write_csv
 
 
@@ -81,17 +81,19 @@ class ColumnarDataset:
         return f"ColumnarDataset(m={self.m}, columns={self.names})"
 
 
+_TRAIN_FRACTION = next(row for row in fields(RunConfig) if row.name == "train_fraction")
+
+
 @dataclass(frozen=True)
 class SplitPlan:
-    """Deterministic shuffled split: same (seed, repetition) -> same indices."""
+    """Deterministic shuffled split: same (seed, repetition) -> same indices.
+    ``train_fraction`` has the run config's rule and default."""
 
     seed: int
-    train_fraction: float = 0.8
+    train_fraction: float = setting(_TRAIN_FRACTION.metadata["rule"], _TRAIN_FRACTION.default)
     repetition_index: int = 0
 
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError("train_fraction must lie strictly between 0 and 1")
+    __post_init__ = check_fields
 
 
 def load_csv(path, schema: Sequence[tuple[str, str]]) -> ColumnarDataset:

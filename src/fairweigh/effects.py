@@ -180,12 +180,11 @@ def wasserstein_distance(
 # -- observational metrics -------------------------------------------------------
 
 
-def _binary_indicator(
-    ds: ColumnarDataset, name: str, declared: dict | None = None
-) -> np.ndarray:
+def _binary_indicator(ds: ColumnarDataset, name: str, encoder: Encoder) -> np.ndarray:
+    """1.0 where a binary column holds the ``encoder``'s high (last) level."""
     col = ds.column(name)
-    levels = sorted(set(col.values.tolist()) | set((declared or {}).get(name, ())))
-    if col.kind != "categorical" or len(levels) != 2:
+    levels = encoder.levels(name) if col.kind == "categorical" else None
+    if levels is None or len(levels) != 2:
         raise DataError(f"column {name!r} is not binary (levels: {levels})")
     return (col.values == levels[-1]).astype(np.float64)
 
@@ -195,11 +194,15 @@ def statistical_parity(
     sensitive: str,
     outcome: str,
     weights: np.ndarray | None = None,
-    declared_levels: dict | None = None,
+    encoder: Encoder | None = None,
 ) -> float:
-    """Weighted P(Y=1 | S=1) - P(Y=1 | S=0), directly from the data."""
-    s = _binary_indicator(ds, sensitive, declared_levels)
-    y = _binary_indicator(ds, outcome, declared_levels)
+    """Weighted P(Y=1 | S=1) - P(Y=1 | S=0), directly from the data, the
+    high level of each taken from ``encoder`` (fit on the two columns when
+    None)."""
+    if encoder is None:
+        encoder = Encoder().fit(ColumnarDataset([ds.column(sensitive), ds.column(outcome)]))
+    s = _binary_indicator(ds, sensitive, encoder)
+    y = _binary_indicator(ds, outcome, encoder)
     w = np.ones(ds.m) if weights is None else np.asarray(weights, dtype=np.float64)
     mass_high = float(w[s == 1].sum())
     mass_low = float(w[s == 0].sum())

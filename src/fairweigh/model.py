@@ -16,10 +16,11 @@ model owns the interventional :class:`Pair`: which rows a mode's contrast
 covers, and their critic context.  In every mode the pair is one routed
 cascade: a reference pass with the sensitive node clamped low, and a high arm
 that recomputes the nodes on the mode's route (every sensitive-to-outcome
-edge unless the mode selects paths).  The pair cascades its rows in blocks of
-:data:`PAIR_BLOCK_ROWS`, so a pass over a whole training split holds the
-cascade's arrays for one block at a time, with outcomes bit-identical to one
-pass.
+edge unless the mode selects paths).  Both passes, and every clamp, run the
+one cascade loop :meth:`StructuredModel._cascade`: a clamp starts from the
+observed blocks, the high arm from the reference.  The pair cascades its rows
+in the blocks of :func:`nn.row_blocks`, so a pass over a whole training split
+holds the cascade's arrays for one block at a time.
 
 The fit is teacher-forced, so its loss is a sum of independent per-node
 losses, each with its sub-network's gradient from :func:`nn.mlp_backward`.
@@ -32,9 +33,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tensor
-from .config import TrainConfig
-from .data import CATEGORICAL, CONTINUOUS, ColumnarDataset, Encoder
-from .graph import CausalGraph, PathSet, graph_fingerprint, pi_active_nodes, total_path_set
+from .config import CATEGORICAL, CONTINUOUS, TrainConfig
+from .data import ColumnarDataset, Encoder
+from .graph import (
+    CausalGraph,
+    PathSet,
+    graph_fingerprint,
+    pi_active_nodes,
+    total_path_set,
+    validate_path_set,
+)
 from .nn import (
     BLOCK_ROWS,
     ParamStore,
@@ -45,6 +53,7 @@ from .nn import (
     mlp_activations,
     mlp_backward,
     mlp_forward,
+    row_blocks,
     save_params,
 )
 
@@ -86,11 +95,15 @@ def condition_mask(ds: ColumnarDataset, condition) -> np.ndarray:
     return mask
 
 
-def check_inputs(graph: CausalGraph, encoder: Encoder, context_nodes) -> None:
-    """Refuse what a model cannot be built from: a sensitive node or outcome
-    that is not binary, a categorical node whose ``encoder`` levels (declared,
-    or seen in the data) number other than ``graph`` declares, and a critic
-    context node that names no node, or the sensitive node or a descendant."""
+def check_inputs(graph: CausalGraph, encoder: Encoder, mode: PathSet, context_nodes) -> None:
+    """Refuse what a model cannot be built from: a fairness ``mode`` that
+    does not fit ``graph`` or names a level the ``encoder`` lacks (a
+    :class:`GraphError` from :func:`validate_path_set`), a sensitive node or
+    outcome that is not binary, a categorical node whose ``encoder`` levels
+    (declared, or seen in the data) number other than ``graph`` declares, and
+    a critic context node that names no node, or the sensitive node or a
+    descendant."""
+    validate_path_set(graph, mode, encoder.levels)
     for role, name in (("sensitive", graph.sensitive), ("outcome", graph.outcome)):
         if not graph.node(name).is_binary:
             raise ModelError(f"{role} node {name!r} must be binary")
@@ -140,7 +153,7 @@ class StructuredModel:
         self.mode = mode
         self.critic_context_nodes = tuple(critic_context_nodes)
 
-        check_inputs(graph, encoder, self.critic_context_nodes)
+        check_inputs(graph, encoder, mode, self.critic_context_nodes)
         self._descendants = graph.descendants(graph.sensitive)
 
         # the clamped cascades run only what the outcome can depend on
@@ -171,8 +184,10 @@ class StructuredModel:
         context_blocks = [encoder.block(n) for n in self.critic_context_nodes]
         self._context_columns = [c for b in context_blocks for c in range(b.start, b.stop)]
         # the edges that carry the pair's high arm: the mode's own when it
-        # selects paths, else every sensitive-to-outcome edge
-        self._route = mode if mode.mode == "path_specific" else total_path_set(graph)
+        # selects paths, else every sensitive-to-outcome edge, those of a clamp
+        total = total_path_set(graph)
+        self._total_edges = total.on_pi_edges
+        self._route = mode if mode.mode == "path_specific" else total
         self._pi_active = pi_active_nodes(graph, self._route)
 
     def _head(self, name: str) -> tuple[str, int]:
@@ -264,68 +279,53 @@ class StructuredModel:
 
     # -- interventional view -----------------------------------------------------
 
-    def _interventional_values(
-        self, x: np.ndarray, s_value: float
-    ) -> dict[str, np.ndarray]:
-        """Ancestral cascade over the outcome's ancestors: sensitive clamped,
-        its descendants propagated, everything else observed."""
+    def _cascade(self, base, s_value: float, active, edges) -> dict[str, np.ndarray]:
+        """One ancestral pass over the outcome's ancestors, each a block of
+        rows: the sensitive node clamped to ``s_value``; each ``active`` node
+        recomputed from its parents, a parent's value from this pass along an
+        edge in ``edges`` and from ``base`` otherwise; every other node read
+        from ``base``."""
         values: dict[str, np.ndarray] = {}
         for name in self._outcome_ancestry:
             if name == self.graph.sensitive:
-                values[name] = self._clamped_block(x.shape[0], s_value)
-            elif name in self._descendants:
-                inputs = self._join([values[p] for p in self.graph.parents(name)])
-                values[name] = self._block_repr(name, self._node_output(name, inputs))
+                values[name] = self._clamped_block(len(base[self.graph.outcome]), s_value)
+            elif name in active:
+                parents = self.graph.parents(name)
+                inputs = [values[p] if (p, name) in edges else base[p] for p in parents]
+                values[name] = self._block_repr(name, self._node_output(name, self._join(inputs)))
             else:
-                values[name] = self._observed_block(x, name)
+                values[name] = base[name]
         return values
 
-    def _outcome_probability(self, values: dict[str, np.ndarray]) -> np.ndarray:
-        return values[self.graph.outcome][:, 1].copy()
+    def _clamp(self, x: np.ndarray, s_value: float) -> dict[str, np.ndarray]:
+        """The cascade along every sensitive-to-outcome edge from the observed
+        blocks of ``x``: its descendants propagated, everything else observed."""
+        observed = {name: self._observed_block(x, name) for name in self._outcome_ancestry}
+        return self._cascade(observed, s_value, self._descendants, self._total_edges)
 
     def intervene_total(self, x: np.ndarray, s: int) -> np.ndarray:
         """Outcome probability per row under clamping the sensitive node to s."""
         self._check_s(s)
-        return self._outcome_probability(self._interventional_values(x, float(s)))
+        return self._clamp(x, float(s))[self.graph.outcome][:, 1].copy()
 
     def intervene_path_specific(self, x: np.ndarray, s: int) -> np.ndarray:
-        """Outcome probability with the intervention routed along pi edges only.
-
-        Two synchronized passes share the cascade: the reference pass
-        clamps the sensitive node to 0 everywhere; the interventional pass
-        recomputes just the nodes on selected paths, picking, per in-edge,
-        the interventional parent value when the edge carries the intervention
-        and the reference value otherwise.
-        """
+        """Outcome probability with the intervention routed along pi edges only
+        (see :meth:`_routed_pair`)."""
         self._check_s(s)
         if self.mode.mode != "path_specific":
             raise ModelError(f"model mode is {self.mode.mode!r}, not path_specific")
-        if not self.mode.on_pi_edges:
-            raise ModelError("path_specific mode with empty edge set")
         return self._routed_pair(x, s)[0]
 
     def _routed_pair(self, x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
         """(outcome at s routed along the pair's edges, reference outcome at
-        0) from one reference cascade.  Along every sensitive-to-outcome edge
-        the routed pass recomputes each descendant the outcome depends on from
-        the same inputs as :meth:`intervene_total`, so it equals that clamp bit
-        for bit."""
-        reference = self._interventional_values(x, 0.0)
-        inter: dict[str, np.ndarray] = {}
-        for name in self._outcome_ancestry:
-            if name == self.graph.sensitive:
-                inter[name] = self._clamped_block(x.shape[0], float(s))
-            elif name in self._pi_active:
-                inputs = self._join(
-                    [
-                        inter[p] if (p, name) in self._route.on_pi_edges else reference[p]
-                        for p in self.graph.parents(name)
-                    ]
-                )
-                inter[name] = self._block_repr(name, self._node_output(name, inputs))
-            else:
-                inter[name] = reference[name]
-        return self._outcome_probability(inter), self._outcome_probability(reference)
+        0): the routed pass starts from the reference clamp at 0 and
+        recomputes the nodes on the route.  Along every sensitive-to-outcome
+        edge it runs the forwards of :meth:`intervene_total`, so it equals
+        that clamp bit for bit."""
+        reference = self._clamp(x, 0.0)
+        routed = self._cascade(reference, float(s), self._pi_active, self._route.on_pi_edges)
+        y = self.graph.outcome
+        return routed[y][:, 1].copy(), reference[y][:, 1].copy()
 
     def pair_mask(self, ds: ColumnarDataset) -> np.ndarray | None:
         """Rows of ``ds`` that the interventional pair covers: all (None)
@@ -344,12 +344,10 @@ class StructuredModel:
         Counterfactual mode needs the mask, the condition matched on the raw
         rows of ``x`` (see :meth:`pair_mask`); it may select no row.
 
-        The covered rows cascade in blocks of :data:`PAIR_BLOCK_ROWS`, each
-        gathered from ``x`` on its own, so a pass over a whole split holds
-        the cascade's arrays for one block at a time.  Blocks start at
-        multiples of ``nn.BLOCK_ROWS`` and a last single row joins the block
-        before it, so every :func:`nn.mlp_forward` sees the blocks of one
-        pass and the outcomes are bit-identical to one.
+        The covered rows cascade in the blocks of :func:`nn.row_blocks`, of
+        :data:`PAIR_BLOCK_ROWS` rows, each gathered from ``x`` on its own, so
+        a pass over a whole split holds the cascade's arrays for one block at
+        a time and its outcomes are those of one pass.
         """
         if mask is not None:
             rows = np.flatnonzero(mask)
@@ -358,10 +356,9 @@ class StructuredModel:
         else:
             rows = np.arange(x.shape[0])
         y_plus, y_minus = np.empty(rows.size), np.empty(rows.size)
-        starts = range(0, max(rows.size - 1, 1), PAIR_BLOCK_ROWS)
-        for start, stop in zip(starts, [*starts[1:], rows.size]):
-            block = x[start:stop] if mask is None else x[rows[start:stop]]
-            y_plus[start:stop], y_minus[start:stop] = self._routed_pair(block, 1)
+        for block in row_blocks(rows.size, PAIR_BLOCK_ROWS):
+            part = x[block] if mask is None else x[rows[block]]
+            y_plus[block], y_minus[block] = self._routed_pair(part, 1)
         context = None
         if self.critic_context_nodes:
             columns = self._context_columns

@@ -190,23 +190,29 @@ def mlp_activations(
     return hs, z / z.sum(axis=1, keepdims=True)
 
 
+def row_blocks(rows: int, size: int = BLOCK_ROWS) -> list[slice]:
+    """The blocks of ``size`` rows a blocked pass over ``rows`` rows runs in
+    (one empty block for none).  Rows are independent, but the rounding of a
+    matrix product can depend on its shape: blocks start at multiples of
+    ``size``, aligned as in one pass, and a last single row joins the block
+    before it (a one-row product runs as a matrix-vector product).  On the
+    benchmark's nets a blocked pass is then bit-identical to one pass; for
+    some head widths and row counts BLAS picks another kernel and the last
+    bits may differ."""
+    bounds = [0, *range(size, rows - 1, size), rows]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
 def mlp_forward(layers: Sequence[tuple[Tensor, Tensor]], x: np.ndarray, head: str) -> np.ndarray:
     """Run a batch through tanh hidden layers and the requested output head.
 
-    The rows run in blocks of :data:`BLOCK_ROWS` whose head outputs are
+    The rows run in the blocks of :func:`row_blocks` whose head outputs are
     concatenated, so only one block's activations are held at a time, in one
-    :class:`Scratch` that the blocks share; an input of at most
-    ``BLOCK_ROWS`` rows is one block.  Rows are independent, but the rounding
-    of a matrix product can depend on its shape: blocks start at multiples of
-    ``BLOCK_ROWS`` (keeping rows aligned as in one pass), and a last single
-    row joins the block before it (a one-row product runs as a matrix-vector
-    product).  On the benchmark's nets the output is then bit-identical to
-    one pass; for some head widths and row counts BLAS picks another kernel
-    and the last bits may differ.
+    :class:`Scratch` that the blocks share.
     """
-    blocks = np.split(x, range(BLOCK_ROWS, len(x) - 1, BLOCK_ROWS))
+    blocks = row_blocks(len(x))
     scratch = Scratch(min(len(x), BLOCK_ROWS + 1))
-    return np.concatenate([mlp_activations(layers, block, head, scratch)[1] for block in blocks])
+    return np.concatenate([mlp_activations(layers, x[b], head, scratch)[1] for b in blocks])
 
 
 def mlp_backward(

@@ -141,9 +141,11 @@ def _standardized(d: np.ndarray) -> np.ndarray:
     return z
 
 
-def _support(z: np.ndarray, balance: float) -> tuple[int, float, float]:
+def _support(z: np.ndarray, m: int, balance: float) -> tuple[int, float, float] | None:
     """Size k, mean and multiplier t = 1/(2 lambda) of the binding solve's
-    support over the ascending values ``z``, which it overwrites.
+    support over the ascending values ``z`` of rows whose weights sum to
+    ``m``, or None when the support lies among rows whose sums of squares
+    lost their digits; ``z`` is overwritten.
 
     On the support of the k smallest values the weights are
     w_i = m/k + t (mean_k - z_i), and the deviation sum((w - 1)^2) is
@@ -155,8 +157,7 @@ def _support(z: np.ndarray, balance: float) -> tuple[int, float, float]:
     prefix of the sizes at which the ball can bind; the largest is the
     solution's (a smaller one differs only by rows of weight exactly zero).
     """
-    m = z.size
-    k = np.arange(1.0, m + 1.0)
+    k = np.arange(1.0, z.size + 1.0)
     mean = np.cumsum(z)
     mean /= k
     z -= mean  # g_k = z_k - mean_k
@@ -176,14 +177,40 @@ def _support(z: np.ndarray, balance: float) -> tuple[int, float, float]:
     z /= m
     # a V_k below the smallest normal float has lost its digits
     consistent = (r > 0.0) & (var >= np.finfo(np.float64).tiny) & (z <= var)
-    last = m - 1 - int(np.argmax(consistent[::-1]))
+    last = z.size - 1 - int(np.argmax(consistent[::-1]))
     if not consistent[last]:
-        raise SolverError(
-            "no weight support meets the balance ball: the smallest gaps spread "
-            "less than about 1e-154 of the gaps' range, beyond float64"
-        )
+        return None
     t = np.sqrt(m * r[last] / (last + 1.0)) / np.sqrt(var[last])  # t_k^2 = m r_k / (k V_k)
     return last + 1, float(mean[last]), float(t)
+
+
+def _binding_weights(d: np.ndarray, m: int, balance: float) -> np.ndarray:
+    """The binding solve's weights over the rows ``d``, summing to ``m``.
+
+    d is standardized (a shift and a positive scale leave the minimizer),
+    one sort and its prefix sums give the support and t in closed form
+    (:func:`_support`), and one projection, centred on the support's mean,
+    gives the weights.  When the support lies among the rows below 2^-500
+    of d's range, whose squares lose their digits, they are solved again
+    on their own scale and the rest get weight zero.
+    """
+    z = _standardized(d)
+    z.sort()
+    support = _support(z, m, balance)
+    del z
+    v = _standardized(d)  # again, unsorted, rather than held through the search
+    if support is None:
+        low = v < 2.0**-500
+        if low.all():  # equal values: no smaller scale to solve them on
+            raise SolverError("no weight support meets the balance ball")
+        v[:] = 0.0
+        v[low] = _binding_weights(d[low], m, balance)
+        return v
+    _, mean, t = support
+    v -= mean
+    v *= -t
+    v += 1.0
+    return project_scaled_simplex(v, float(m))
 
 
 def solve_weights(d: np.ndarray, balance: float) -> WeightVector:
@@ -193,10 +220,7 @@ def solve_weights(d: np.ndarray, balance: float) -> WeightVector:
     the all-ones vector.  When the balance ball does not bind, the answer is
     the simplex vertex concentrating on argmin(d).  Otherwise the minimizer
     is the projection of 1 - t d onto the scaled simplex at the one t where
-    the ball binds: d is standardized (a shift and a positive scale leave the
-    minimizer), one sort and its prefix sums give the support and t in closed
-    form (:func:`_support`), and one projection, centred on the support's
-    mean, gives the weights.
+    the ball binds (:func:`_binding_weights`).
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
@@ -215,13 +239,4 @@ def solve_weights(d: np.ndarray, balance: float) -> WeightVector:
     if vertex_dev <= balance * m + BALL_TOL * m:
         return WeightVector(vertex, balance)
     del vertex
-
-    z = _standardized(d)
-    z.sort()
-    _, mean, t = _support(z, balance)
-    del z
-    v = _standardized(d)  # again, unsorted, rather than held through the search
-    v -= mean
-    v *= -t
-    v += 1.0
-    return WeightVector(project_scaled_simplex(v, float(m)), balance)
+    return WeightVector(_binding_weights(d, m, balance), balance)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, CONTINUOUS, Column, ColumnarDataset
+from .config import CATEGORICAL, CONTINUOUS
+from .data import Column, ColumnarDataset
 from .graph import (
     CausalGraph,
     GraphError,

@@ -322,9 +322,7 @@ def repeat_protocol(
         effects.append(log[-1].effect)
         gaps.append(log[-1].critic_gap)
         parities.append(
-            statistical_parity(
-                train_ds, graph.sensitive, graph.outcome, w, declared_levels
-            )
+            statistical_parity(train_ds, graph.sensitive, graph.outcome, w, encoder)
         )
         accuracies.append(downstream_accuracy(train_ds, test_ds, graph.outcome, w, encoder))
         if compute_wasserstein:

@@ -144,8 +144,12 @@ def assert_kkt_optimal(d, balance, w):
         np.testing.assert_allclose(w, vertex, rtol=0, atol=1e-9)
         return
     assert abs(np.sum((w - 1.0) ** 2) - balance * m) <= 1e-9 * m
-    z = (d - d.min()) / (d.max() - d.min())  # the conditions survive shift and scale
     support = w > 0
+    # the conditions survive shift and scale: z spans the support's range, so
+    # that a support far below d's range keeps its digits in the sums below
+    lo, hi = d[support].min(), d[support].max()
+    with np.errstate(over="ignore"):
+        z = (d - lo) / (hi - lo)
     zs = z[support] - z[support].mean()
     t = -float(zs @ (w[support] - w[support].mean())) / float(zs @ zs)
     assert t > 0

@@ -15,6 +15,7 @@ from fairweigh.config import RunConfig, TrainConfig
 from fairweigh.data import Encoder, SplitPlan, load_csv, split_indices
 from fairweigh.graph import parse_graph, total_path_set
 from fairweigh.model import StructuredModel
+from fairweigh.nn import load_params
 from fairweigh.reweighter import SolverError
 from fairweigh.synth import benchmark_document, generate, parse_scm
 
@@ -772,6 +773,87 @@ def test_weights_with_no_mass_on_the_rows_used_exit_2_before_any_fit(
     assert main([command, "--config", str(config), "--weights", str(weights)]) == 2
     err = capsys.readouterr().err
     assert f"weights file {weights} puts no weight on {where}" in err, err
+
+
+def _without_wall_time(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [{k: v for k, v in record.items() if k != "wall_time"} for record in records]
+
+
+@pytest.mark.parametrize("with_checkpoint", [False, True], ids=["fitted", "checkpoint"])
+def test_effects_weights_with_no_mass_on_a_sensitive_group_exit_2_before_any_fit(
+    workspace, tmp_path, monkeypatch, capsys, with_checkpoint
+):
+    """Weights that are zero on every s=1 row once ran the fit and then
+    exited 2 naming neither the file nor the group; statistical parity needs
+    mass in both groups, so the file is refused first."""
+    ds = load_csv(workspace / "data.csv", [(c["name"], c["kind"]) for c in SCHEMA])
+    weights = tmp_path / "no_s1.csv"
+    w = np.where(ds.column("s").values == "1", 0.0, 1.0)
+    weights.write_text(
+        "index,weight\n" + "".join(f"{i},{v}\n" for i, v in enumerate(w)), encoding="utf-8"
+    )
+    args = ["effects", "--config", str(config_for(workspace, "run_group")),
+            "--weights", str(weights)]
+    if with_checkpoint:
+        graph = parse_graph((workspace / "graph.txt").read_text(encoding="utf-8"))
+        levels = {c["name"]: c["levels"] for c in SCHEMA if "levels" in c}
+        model = StructuredModel(graph, Encoder().fit(ds, levels), total_path_set(graph), seed=0)
+        model.save(tmp_path / "checkpoint.npz")
+        args += ["--checkpoint", str(tmp_path / "checkpoint.npz")]
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the weights were checked")
+
+    monkeypatch.setattr(cli, "train", no_fit)
+    monkeypatch.setattr(trainer, "train", no_fit)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"weights file {weights} puts no weight on a row with s=1" in err, err
+
+
+def test_seed_and_balance_flags_are_recorded_and_the_manifest_reproduces_them(workspace):
+    config = config_for(workspace, "run_flags")
+    args = ["reweigh", "--config", str(config), "--seed", "7", "--t-balance", "2.0"]
+    assert main(args) in (0, 1)
+    out = workspace / "run_flags"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == 7
+    assert manifest["config"]["train"] == {**FAST_TRAIN, "seed": 7, "balance": 2.0}
+    rerun = workspace / "run_flags_rerun"
+    args = ["reweigh", "--config", str(out / "manifest.json"), "--out", str(rerun)]
+    assert main(args) in (0, 1)
+    assert (rerun / "weights_mean.csv").read_bytes() == (out / "weights_mean.csv").read_bytes()
+
+
+def test_all_paths_writes_the_weights_of_total_mode(workspace):
+    """paths "all" selects every sensitive-to-outcome edge, so it fits and
+    weighs as total mode does: only the mode the report and the checkpoint
+    name differs."""
+    runs = {}
+    for name, overrides in [("total", {}), ("all", {"mode": "path_specific", "paths": "all"})]:
+        config = config_for(workspace, f"run_{name}", **overrides)
+        assert main(["reweigh", "--config", str(config)]) in (0, 1)
+        runs[name] = workspace / f"run_{name}"
+    total, every = runs["total"], runs["all"]
+    for name in ("weights_mean.csv", "rep_0/weights.csv"):
+        assert (total / name).read_bytes() == (every / name).read_bytes(), name
+    assert _without_wall_time(total / "rep_0" / "train_log.jsonl") == _without_wall_time(
+        every / "rep_0" / "train_log.jsonl"
+    )
+    reports = [json.loads((run / "report.json").read_text()) for run in (total, every)]
+    assert [r.pop("mode") for r in reports] == ["total", "path_specific"]
+    assert reports[0] == reports[1]
+    (store_a, meta_a), (store_b, meta_b) = (
+        load_params(run / "rep_0" / "checkpoint.npz") for run in (total, every)
+    )
+    assert meta_a["mode"]["mode"] == "total" and meta_b["mode"]["mode"] == "path_specific"
+    assert meta_a["mode"]["on_pi_edges"] == meta_b["mode"]["on_pi_edges"]
+    assert {**meta_a, "mode": None} == {**meta_b, "mode": None}
+    snap_a, snap_b = store_a.snapshot(), store_b.snapshot()
+    assert snap_a.keys() == snap_b.keys()
+    for group in snap_a:
+        assert all(np.array_equal(a, b) for a, b in zip(snap_a[group], snap_b[group])), group
 
 
 def test_path_specific_mode_runs(workspace):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairweigh.config import ConfigError, RunConfig
 from fairweigh.data import (
     Column,
     ColumnarDataset,
@@ -156,6 +157,14 @@ def test_split_sizes_and_determinism():
     assert np.array_equal(test_idx, again_test)
     # partition property
     assert sorted(np.concatenate([train_idx, test_idx]).tolist()) == list(range(10))
+
+
+@pytest.mark.parametrize("fraction", [0, 1, 1.5, -0.2, float("nan"), True, "0.8"])
+def test_split_plan_refuses_a_train_fraction_by_the_run_config_rule(fraction):
+    """The plan takes the run config's rule and default for train_fraction."""
+    assert SplitPlan(seed=0).train_fraction == RunConfig.train_fraction == 0.8
+    with pytest.raises(ConfigError, match="train_fraction must be a finite number > 0 and < 1"):
+        SplitPlan(seed=0, train_fraction=fraction)
 
 
 def test_different_seeds_differ():

@@ -229,6 +229,17 @@ def test_statistical_parity_weighted_and_empty_group():
     assert statistical_parity(ds, "s", "y", w2) > 0.25
 
 
+def test_statistical_parity_takes_the_high_level_from_the_encoder():
+    """Integer declared levels once raised TypeError, sorted with the string
+    labels; the encoder turns them into labels, as everywhere else."""
+    ds = parity_dataset()
+    encoder = Encoder().fit(ds, {"s": [0, 1], "y": [1, 0]})
+    assert statistical_parity(ds, "s", "y", None, encoder) == statistical_parity(ds, "s", "y")
+    assert statistical_parity(ds, "s", "y", None, encoder) == pytest.approx(0.75 - 0.50)
+    with pytest.raises(DataError, match="'s' is not binary"):
+        statistical_parity(ds, "s", "y", None, Encoder().fit(ds, {"s": [0, 1, 2]}))
+
+
 def test_downstream_accuracy_separable_data():
     rng = np.random.default_rng(8)
     m = 400

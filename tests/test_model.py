@@ -9,6 +9,7 @@ from fairweigh.autodiff import Tensor, backward
 from fairweigh.data import Column, ColumnarDataset, Encoder
 from fairweigh.graph import (
     CausalGraph,
+    GraphError,
     PathSet,
     counterfactual_path_set,
     indirect_path_set,
@@ -288,12 +289,42 @@ def test_conditioned_mode_matches_total_on_full_match(bench_small):
 
 
 def test_conditioned_mode_errors_on_empty_match(bench_small):
+    """A condition on a level the encoder holds but no row of the batch has."""
     scm, ds, enc, _ = bench_small
     cf = StructuredModel(
-        scm.graph, enc, counterfactual_path_set(scm.graph, [("x2", "7")]), seed=7
+        scm.graph, enc, counterfactual_path_set(scm.graph, [("x2", "1")]), seed=7
     )
     with pytest.raises(ModelError, match="no rows match"):
-        cf.pair_mask(ds)
+        cf.pair_mask(ds.take(np.flatnonzero(ds.column("x2").values == "0")))
+
+
+@pytest.mark.parametrize(
+    "make_mode, message",
+    [
+        pytest.param(
+            lambda g: counterfactual_path_set(g, [("x2", "7")]),
+            r"condition value '7' is none of the levels \['0', '1'\] of 'x2'",
+            id="condition-level",
+        ),
+        pytest.param(
+            lambda g: PathSet("path_specific", frozenset({("x1", "s"), ("s", "y")})),
+            r"edge \('x1', 's'\) is not on any path from 's' to 'y'",
+            id="stray-edge",
+        ),
+        pytest.param(
+            lambda g: PathSet("path_specific"), "requires a non-empty edge set", id="no-edge"
+        ),
+    ],
+)
+def test_a_mode_that_does_not_fit_the_graph_or_encoder_is_refused_when_built(
+    bench_small, make_mode, message
+):
+    """The model checks its own mode: a library caller cannot build one whose
+    condition names a level its encoder lacks, or whose path set holds an
+    edge on no sensitive-to-outcome path or no edge at all."""
+    scm, _, enc, _ = bench_small
+    with pytest.raises(GraphError, match=message):
+        StructuredModel(scm.graph, enc, make_mode(scm.graph), seed=7)
 
 
 def test_counterfactual_pair_needs_the_condition_mask(bench_small):

@@ -140,7 +140,7 @@ def test_the_binding_support_is_unique_ties_included(values, balance):
     t = float(t2) ** 0.5
     want = np.maximum(m / sizes[0] + t * (float(mean) - d), 0.0)
     np.testing.assert_allclose(solve_weights(d, balance).values, want, rtol=0, atol=1e-9)
-    k, _, _ = _support(np.sort(_standardized(d)), balance)
+    k, _, _ = _support(np.sort(_standardized(d)), m, balance)
     assert k in found
 
 
