@@ -136,20 +136,28 @@ def load_inputs(run: RunConfig) -> tuple[ColumnarDataset, CausalGraph, dict]:
 
 
 def check_against_data(
-    run: RunConfig, graph: CausalGraph, mode: PathSet, encoder: Encoder, rows: int | None
-) -> None:
-    """Refuse, naming the field, the settings that only the graph and the
-    data can judge (see :func:`fairweigh.model.check_inputs`), and a batch
-    larger than the ``rows`` that training batches (None when none trains)."""
+    run: RunConfig, graph: CausalGraph, mode: PathSet, ds: ColumnarDataset,
+    declared_levels: dict, where: str, trains: bool,
+) -> Encoder:
+    """The encoder of ``ds`` (which ``where`` names), once ``ds`` passes what
+    only the graph and the data can judge (:func:`fairweigh.model.check_inputs`,
+    refused naming the field), has at least a batch of rows when it
+    ``trains``, and holds a row of each level of the sensitive node."""
+    encoder = Encoder().fit(ds, declared_levels)
     try:
         check_inputs(graph, encoder, mode, run.critic_context_nodes)
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
-    if rows is not None and run.train.batch_size > rows:
+    if trains and run.train.batch_size > ds.m:
         raise ConfigError(
-            f"batch_size must be at most the {rows} rows that training batches, "
+            f"batch_size must be at most the {ds.m} rows that training batches, "
             f"got {run.train.batch_size}"
         )
+    s_values = ds.column(graph.sensitive).values
+    for level in encoder.levels(graph.sensitive):
+        if not (s_values == level).any():
+            raise DataError(f"{where} has no row with {graph.sensitive}={level}")
+    return encoder
 
 
 def build_mode(run: RunConfig, graph: CausalGraph) -> PathSet:
@@ -205,10 +213,11 @@ def cmd_reweigh(args) -> int:
     config, run = read_config(args)
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
-    encoder = Encoder().fit(ds, declared_levels)
-    # every repetition's training split has as many rows as the first one's
-    train_rows = split_indices(ds.m, SplitPlan(run.train.seed, run.train_fraction))[0]
-    check_against_data(run, graph, mode, encoder, train_rows.size)
+    check_against_data(run, graph, mode, ds, declared_levels, f"data file {run.data}", False)
+    for rep in range(run.repeats):  # each repetition fits its encoder on its training split
+        train_rows = split_indices(ds.m, SplitPlan(run.train.seed, run.train_fraction, rep))[0]
+        where = f"the training split of repetition {rep} of {run.data}"
+        check_against_data(run, graph, mode, ds.take(train_rows), declared_levels, where, True)
     out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("rep_*"):  # left by an earlier run with more repeats
@@ -301,8 +310,8 @@ def cmd_effects(args) -> int:
     _, run = read_config(args)
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
-    encoder = Encoder().fit(ds, declared_levels)
-    check_against_data(run, graph, mode, encoder, None if args.checkpoint else ds.m)
+    where = f"data file {run.data}"
+    encoder = check_against_data(run, graph, mode, ds, declared_levels, where, not args.checkpoint)
 
     model = StructuredModel(
         graph,

@@ -146,11 +146,17 @@ def wasserstein_estimate(
     cdf /= cdf[-1]
     batch = min(DISTANCE_BATCH, x.shape[0])
     scratch = Scratch(batch)
+    # each step draws into the same buffers (rng.random: the draws of rng.uniform(0, 1))
+    rows_a, rows_b, x_hat, mixed = (np.empty((batch, x.shape[1])) for _ in range(4))
+    draws, u = np.empty(batch), np.empty((batch, 1))
     for _ in range(steps):
-        rows_a = x[rng.integers(0, x.shape[0], size=batch)]
-        rows_b = x[cdf.searchsorted(rng.random(batch), side="right")]
-        u = rng.uniform(0.0, 1.0, size=(batch, 1))
-        x_hat = u * rows_a + (1.0 - u) * rows_b
+        np.take(x, rng.integers(0, x.shape[0], size=batch), axis=0, out=rows_a, mode="clip")
+        rng.random(out=draws)
+        np.take(x, cdf.searchsorted(draws, side="right"), axis=0, out=rows_b, mode="clip")
+        rng.random(out=u)
+        np.multiply(u, rows_a, out=x_hat)  # x_hat = u * rows_a + (1.0 - u) * rows_b
+        np.multiply(1.0 - u, rows_b, out=mixed)
+        x_hat += mixed
         loss, _, _ = critic_loss(
             layers, rows_a, rows_b, 1.0 / batch, x_hat, DISTANCE_PENALTY, scratch
         )

@@ -6,6 +6,9 @@ sensitive node's incoming edges) and, for path-restricted interventions, which
 edges and nodes lie on the selected sensitive-to-outcome paths.  Every such
 query is a reachability walk, linear in the size of the graph; no path is ever
 listed, so the number of paths does not matter.
+
+The interventional routing rule lives here once, in :func:`cascade`, which
+the learned model's cascades and the synthetic oracle's both run.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "indirect_path_set",
     "counterfactual_path_set",
     "pi_active_nodes",
+    "cascade",
     "graph_fingerprint",
 ]
 
@@ -352,6 +356,28 @@ def pi_active_nodes(g: CausalGraph, ps: PathSet) -> frozenset[str]:
     reached = _reach([g.sensitive], lambda n: [c for c in g.children(n) if (n, c) in pi])
     reaching = _reach([g.outcome], lambda n: [p for p in g.parents(n) if (p, n) in pi])
     return reached & reaching
+
+
+def cascade(g: CausalGraph, order, clamp, base, active, edges, evaluate) -> dict:
+    """One ancestral pass over ``order``, nodes of ``g`` in topological order.
+
+    The sensitive node takes ``clamp``, or is evaluated like an active node
+    when ``clamp`` is None.  Each ``active`` node is ``evaluate(name,
+    parents)``, with ``parents`` its parents' values in parent order, each
+    read from this pass along an edge in ``edges`` and from ``base``
+    otherwise; every other node is read from ``base``.  Returns the values of
+    the nodes of ``order``.
+    """
+    values = {}
+    for name in order:
+        if name == g.sensitive and clamp is not None:
+            values[name] = clamp
+        elif name in active or name == g.sensitive:
+            parents = {p: values[p] if (p, name) in edges else base[p] for p in g.parents(name)}
+            values[name] = evaluate(name, parents)
+        else:
+            values[name] = base[name]
+    return values
 
 
 def graph_fingerprint(g: CausalGraph) -> str:

@@ -17,10 +17,10 @@ covers, and their critic context.  In every mode the pair is one routed
 cascade: a reference pass with the sensitive node clamped low, and a high arm
 that recomputes the nodes on the mode's route (every sensitive-to-outcome
 edge unless the mode selects paths).  Both passes, and every clamp, run the
-one cascade loop :meth:`StructuredModel._cascade`: a clamp starts from the
-observed blocks, the high arm from the reference.  The pair cascades its rows
-in the blocks of :func:`nn.row_blocks`, so a pass over a whole training split
-holds the cascade's arrays for one block at a time.
+routing rule of :func:`graph.cascade` with the sub-networks as evaluator: a
+clamp starts from the observed blocks, the high arm from the reference.  The
+pair cascades its rows in the blocks of :func:`nn.row_blocks`, so a pass over
+a whole training split holds the cascade's arrays for one block at a time.
 
 The fit is teacher-forced, so its loss is a sum of independent per-node
 losses, each with its sub-network's gradient from :func:`nn.mlp_backward`.
@@ -38,6 +38,7 @@ from .data import ColumnarDataset, Encoder
 from .graph import (
     CausalGraph,
     PathSet,
+    cascade,
     graph_fingerprint,
     pi_active_nodes,
     total_path_set,
@@ -280,22 +281,15 @@ class StructuredModel:
     # -- interventional view -----------------------------------------------------
 
     def _cascade(self, base, s_value: float, active, edges) -> dict[str, np.ndarray]:
-        """One ancestral pass over the outcome's ancestors, each a block of
-        rows: the sensitive node clamped to ``s_value``; each ``active`` node
-        recomputed from its parents, a parent's value from this pass along an
-        edge in ``edges`` and from ``base`` otherwise; every other node read
-        from ``base``."""
-        values: dict[str, np.ndarray] = {}
-        for name in self._outcome_ancestry:
-            if name == self.graph.sensitive:
-                values[name] = self._clamped_block(len(base[self.graph.outcome]), s_value)
-            elif name in active:
-                parents = self.graph.parents(name)
-                inputs = [values[p] if (p, name) in edges else base[p] for p in parents]
-                values[name] = self._block_repr(name, self._node_output(name, self._join(inputs)))
-            else:
-                values[name] = base[name]
-        return values
+        """:func:`graph.cascade` over the outcome's ancestors, each a block of
+        rows, with the sensitive node clamped to ``s_value`` and each
+        ``active`` node its sub-network's output."""
+        clamp = self._clamped_block(len(base[self.graph.outcome]), s_value)
+        order = self._outcome_ancestry
+        return cascade(self.graph, order, clamp, base, active, edges, self._evaluate)
+
+    def _evaluate(self, name: str, parents: dict[str, np.ndarray]) -> np.ndarray:
+        return self._block_repr(name, self._node_output(name, self._join(list(parents.values()))))
 
     def _clamp(self, x: np.ndarray, s_value: float) -> dict[str, np.ndarray]:
         """The cascade along every sensitive-to-outcome edge from the observed

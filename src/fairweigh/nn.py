@@ -432,8 +432,10 @@ class Adam:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g**2
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g**2
         update = self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
         for p, lo, hi in zip(self.params, [0, *self._ends], self._ends):
             p.data = p.data - update[lo:hi].reshape(p.data.shape)

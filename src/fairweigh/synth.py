@@ -14,6 +14,9 @@ the per-draw contrasts, plus one row block: 34-35 MB for one contrast and
 43 MB for the total, indirect and a conditioned contrast at 1,000,000 draws
 on the benchmark SCM.  It consumes the random stream exactly as a draw of
 every node's noise would, so its results do not depend on what it keeps.
+
+Every pass, the oracle's and :func:`generate`'s, is :func:`graph.cascade`,
+the routing rule of the learned model's cascades, with the true mechanisms.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .graph import (
     CausalGraph,
     GraphError,
     PathSet,
+    cascade,
     parse_graph,
     pi_active_nodes,
     split_sections,
@@ -233,37 +237,17 @@ def _draw_noise(
     return noise
 
 
-def _node_value(
-    scm: SyntheticSCM, name: str, parents: dict[str, np.ndarray],
-    noise: dict[str, np.ndarray], n: int,
-) -> np.ndarray:
-    fn = scm.functions[name]
-    if fn.kind == "normal":
-        return fn.affine.evaluate(parents, n) + noise[name]
-    return (noise[name] < fn.mean_or_prob(parents, n)).astype(np.float64)
-
-
-def _cascade(
-    scm: SyntheticSCM, noise: dict[str, np.ndarray], n: int,
-    do_sensitive: float | None, nodes: tuple[str, ...] | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Propagate mechanisms over ``nodes``, a topologically ordered set closed
-    under parents (default: every node); returns node values and the outcome
-    probability.  The outcome is sampled only when ``noise`` holds its draw."""
-    g = scm.graph
-    values: dict[str, np.ndarray] = {}
-    y_prob = None
-    for name in g.topo_order if nodes is None else nodes:
-        if do_sensitive is not None and name == g.sensitive:
-            values[name] = np.full(n, float(do_sensitive))
-            continue
-        if name == g.outcome:
-            y_prob = scm.functions[name].mean_or_prob(values, n)
-            if name in noise:
-                values[name] = (noise[name] < y_prob).astype(np.float64)
-            continue
-        values[name] = _node_value(scm, name, values, noise, n)
-    return values, y_prob
+def _mechanisms(scm: SyntheticSCM, noise: dict[str, np.ndarray], n: int):
+    """The evaluator of :func:`graph.cascade` for the true mechanisms: a
+    node's draw from ``noise``, or, for a binary node with no draw there,
+    its success probability."""
+    def evaluate(name: str, parents: dict[str, np.ndarray]) -> np.ndarray:
+        fn = scm.functions[name]
+        if fn.kind == "normal":
+            return fn.affine.evaluate(parents, n) + noise[name]
+        p = fn.mean_or_prob(parents, n)
+        return (noise[name] < p).astype(np.float64) if name in noise else p
+    return evaluate
 
 
 def generate(scm: SyntheticSCM, n: int) -> ColumnarDataset:
@@ -271,8 +255,8 @@ def generate(scm: SyntheticSCM, n: int) -> ColumnarDataset:
     if n < 1:
         raise GraphError("sample count must be >= 1")
     rng = np.random.default_rng(scm.seed)
-    noise = _draw_noise(scm, n, rng)
-    values, _ = _cascade(scm, noise, n, do_sensitive=None)
+    g, evaluate = scm.graph, _mechanisms(scm, _draw_noise(scm, n, rng), n)
+    values = cascade(g, g.topo_order, None, {}, g.topo_order, g.edges, evaluate)
     columns = []
     for spec in scm.graph.nodes:
         data = values[spec.name]
@@ -347,16 +331,22 @@ def oracle_effects(
     for start in range(0, n, ORACLE_BLOCK):
         rows = slice(start, start + ORACLE_BLOCK)
         size = min(ORACLE_BLOCK, n - start)
-        block = {name: values[rows] for name, values in noise.items()}
-        reference, p_ref = _cascade(scm, block, size, 0.0, ancestry)
+        # the arms take the outcome's success probability, not its draw
+        block = {name: values[rows] for name, values in noise.items() if name != g.outcome}
+        arms = _mechanisms(scm, block, size)
+        reference = cascade(g, ancestry, np.zeros(size), {}, ancestry, g.edges, arms)
+        p_ref = reference[g.outcome]
         for edges, (active, diff) in routes.items():
-            p_plus = _routed_outcome(scm, edges, active, reference, p_ref, block, size)
+            p_plus = cascade(g, ancestry, np.ones(size), reference, active, edges, arms)[g.outcome]
             np.subtract(p_plus, p_ref, out=diff[rows])
-        if masks:
-            observed, _ = _cascade(scm, block, size, None, closure)
+        if masks:  # a condition may name the outcome, so this pass draws it
+            block = {name: values[rows] for name, values in noise.items()}
+            observed = cascade(
+                g, closure, None, {}, closure, g.edges, _mechanisms(scm, block, size)
+            )
             for condition, mask in masks.items():
                 mask[rows] = _condition_mask(observed, condition)
-    del noise, block, reference  # freed before the reductions' n-long temporaries
+    del noise, block, arms, reference  # freed before the reductions' n-long temporaries
 
     results = []
     for edges, condition in contrasts:
@@ -367,34 +357,6 @@ def oracle_effects(
             diff = diff[masks[condition]]
         results.append((float(diff.mean()), float(diff.std(ddof=0) / np.sqrt(diff.size))))
     return results
-
-
-def _routed_outcome(
-    scm: SyntheticSCM, edges: frozenset, active: frozenset[str],
-    reference: dict[str, np.ndarray], p_ref: np.ndarray,
-    noise: dict[str, np.ndarray], n: int,
-) -> np.ndarray:
-    """Outcome probability with s = 1 routed only along the pi ``edges``
-    (through their ``active`` nodes), every other input at its value in the
-    s = 0 ``reference`` cascade, whose outcome probability is ``p_ref``."""
-    g = scm.graph
-    if g.outcome not in active:
-        return p_ref  # no selected path reaches the outcome
-    inter: dict[str, np.ndarray] = {}
-    for name in g.outcome_ancestry():
-        if name == g.sensitive:
-            inter[name] = np.full(n, 1.0)
-            continue
-        if name not in active:
-            inter[name] = reference[name]
-            continue
-        parent_values = {
-            p: (inter[p] if (p, name) in edges else reference[p])
-            for p in g.parents(name)
-        }
-        if name == g.outcome:
-            return scm.functions[name].mean_or_prob(parent_values, n)
-        inter[name] = _node_value(scm, name, parent_values, noise, n)
 
 
 def oracle_effect(

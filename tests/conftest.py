@@ -78,6 +78,34 @@ def bench_small():
     return scm, ds, enc, model
 
 
+def node_value(scm, name, parents, noise, n):
+    """A node of ``scm`` from its ``parents``' values: its mechanism with its draw
+    from ``noise``; the oracle's own evaluator is not used."""
+    fn = scm.functions[name]
+    if fn.kind == "normal":
+        return fn.affine.evaluate(parents, n) + noise[name]
+    return (noise[name] < fn.mean_or_prob(parents, n)).astype(np.float64)
+
+
+def reference_cascade(scm, noise, n, do_sensitive, nodes=None):
+    """Ancestral pass over ``nodes`` (every node by default), a topologically
+    ordered set closed under parents, the sensitive node clamped unless
+    ``do_sensitive`` is None: (node values, outcome probability), the
+    outcome sampled only when ``noise`` holds its draw."""
+    g = scm.graph
+    values, y_prob = {}, None
+    for name in g.topo_order if nodes is None else nodes:
+        if do_sensitive is not None and name == g.sensitive:
+            values[name] = np.full(n, float(do_sensitive))
+        elif name == g.outcome:
+            y_prob = scm.functions[name].mean_or_prob(values, n)
+            if name in noise:
+                values[name] = (noise[name] < y_prob).astype(np.float64)
+        else:
+            values[name] = node_value(scm, name, values, noise, n)
+    return values, y_prob
+
+
 def relative_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     """Norm-relative disagreement; the floor absorbs central-difference
     roundoff (~1e-11 per entry) when the true gradient is identically zero."""

@@ -12,7 +12,15 @@ import pytest
 from fairweigh import cli, trainer
 from fairweigh.cli import BLAS_THREAD_VARIABLES, _read_weights, main
 from fairweigh.config import RunConfig, TrainConfig
-from fairweigh.data import Encoder, SplitPlan, load_csv, split_indices
+from fairweigh.data import (
+    Column,
+    ColumnarDataset,
+    Encoder,
+    SplitPlan,
+    load_csv,
+    split_indices,
+    write_csv,
+)
 from fairweigh.graph import parse_graph, total_path_set
 from fairweigh.model import StructuredModel
 from fairweigh.nn import load_params
@@ -775,6 +783,78 @@ def test_weights_with_no_mass_on_the_rows_used_exit_2_before_any_fit(
     assert f"weights file {weights} puts no weight on {where}" in err, err
 
 
+def _data_with(workspace, path, **labels):
+    """The workspace data with the categorical columns in ``labels``
+    replaced, written to ``path``."""
+    ds = load_csv(workspace / "data.csv", [(c["name"], c["kind"]) for c in SCHEMA])
+    write_csv(ColumnarDataset([
+        Column(name, ds.column(name).kind, labels.get(name, ds.column(name).values))
+        for name in ds.names
+    ]), path)
+    return path
+
+
+def _no_train(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("trained before the inputs were checked")
+
+    monkeypatch.setattr(cli, "train", no_fit)
+    monkeypatch.setattr(trainer, "train", no_fit)
+
+
+def _a_row_only_split_0_trains_on(m):
+    first, second = (
+        set(split_indices(m, SplitPlan(FAST_TRAIN["seed"], RunConfig.train_fraction, rep))[0])
+        for rep in (0, 1)
+    )
+    return min(first - second)
+
+
+@pytest.mark.parametrize("command", ["effects", "reweigh"])
+def test_a_sensitive_level_no_row_holds_exits_2_before_any_fit_or_manifest(
+    workspace, tmp_path, monkeypatch, capsys, command
+):
+    """With s's levels declared 0 and 1 and every row at s=0, effects once
+    fitted, and reweigh wrote its manifest and trained repetition 0, before
+    exiting 2 with "a sensitive group carries no weight"; the file is now
+    refused first, naming the level and the file."""
+    data = _data_with(workspace, tmp_path / "all_s0.csv", s=np.full(600, "0"))
+    config = config_for(workspace, f"run_s0_{command}", data=str(data))
+    _no_train(monkeypatch)
+    assert main([command, "--config", str(config)]) == 2
+    assert f"data error: data file {data} has no row with s=1" in capsys.readouterr().err
+    assert not (workspace / f"run_s0_{command}").exists()
+
+
+@pytest.mark.parametrize("lacking", ["sensitive", "condition"])
+def test_a_level_a_later_training_split_lacks_exits_2_before_the_manifest(
+    workspace, tmp_path, monkeypatch, capsys, lacking
+):
+    """One row holds s=1 (or the undeclared condition level x2=1), and
+    repetition 0's training split holds it but repetition 1's does not.
+    reweigh once wrote its manifest and trained repetition 0 before
+    refusing repetition 1; every split is now checked first."""
+    row = _a_row_only_split_0_trains_on(600)
+    labels = np.full(600, "0")
+    labels[row] = "1"
+    if lacking == "sensitive":
+        data = _data_with(workspace, tmp_path / "one_s1.csv", s=labels)
+        overrides = {}
+        message = f"data error: the training split of repetition 1 of {data} has no row with s=1"
+    else:
+        data = _data_with(workspace, tmp_path / "one_x2.csv", x2=labels)
+        schema = [{k: v for k, v in c.items() if c["name"] != "x2" or k != "levels"}
+                  for c in SCHEMA]
+        overrides = {"mode": "counterfactual", "condition": [["x2", "1"]], "schema": schema}
+        message = "graph error: condition value '1' is none of the levels ['0'] of 'x2'"
+    out = f"run_split_{lacking}"
+    config = config_for(workspace, out, data=str(data), repeats=2, **overrides)
+    _no_train(monkeypatch)
+    assert main(["reweigh", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / out).exists()
+
+
 def _without_wall_time(path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     return [{k: v for k, v in record.items() if k != "wall_time"} for record in records]
@@ -801,12 +881,7 @@ def test_effects_weights_with_no_mass_on_a_sensitive_group_exit_2_before_any_fit
         model = StructuredModel(graph, Encoder().fit(ds, levels), total_path_set(graph), seed=0)
         model.save(tmp_path / "checkpoint.npz")
         args += ["--checkpoint", str(tmp_path / "checkpoint.npz")]
-
-    def no_fit(*args, **kwargs):
-        raise AssertionError("fitted before the weights were checked")
-
-    monkeypatch.setattr(cli, "train", no_fit)
-    monkeypatch.setattr(trainer, "train", no_fit)
+    _no_train(monkeypatch)
     assert main(args) == 2
     err = capsys.readouterr().err
     assert f"weights file {weights} puts no weight on a row with s=1" in err, err

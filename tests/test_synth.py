@@ -13,10 +13,8 @@ from fairweigh.graph import (
 )
 from fairweigh.synth import (
     ORACLE_BLOCK,
-    _cascade,
     _condition_mask,
     _draw_noise,
-    _node_value,
     benchmark_scm,
     generate,
     oracle_effect,
@@ -24,6 +22,8 @@ from fairweigh.synth import (
     parse_affine,
     parse_scm,
 )
+
+from conftest import node_value, reference_cascade
 
 CHAIN_DOC = """
 [nodes]
@@ -224,11 +224,11 @@ def test_oracle_route_equals_two_clamp_contrast(condition):
     estimate, stderr = oracle_effect(scm, ps, n=n, seed=6)
 
     noise = _draw_noise(scm, n, np.random.default_rng(6))
-    _, p_plus = _cascade(scm, noise, n, do_sensitive=1.0)
-    _, p_minus = _cascade(scm, noise, n, do_sensitive=0.0)
+    _, p_plus = reference_cascade(scm, noise, n, do_sensitive=1.0)
+    _, p_minus = reference_cascade(scm, noise, n, do_sensitive=0.0)
     diff = p_plus - p_minus
     if condition:
-        observed, _ = _cascade(scm, noise, n, do_sensitive=None)
+        observed, _ = reference_cascade(scm, noise, n, do_sensitive=None)
         diff = diff[observed["x2"] == 1.0]
     assert estimate == float(diff.mean())
     assert stderr == float(diff.std(ddof=0) / np.sqrt(diff.size))
@@ -276,7 +276,7 @@ def full_array_arms(scm, ps, noise, n):
     g = scm.graph
     active = pi_active_nodes(g, ps)
     ancestry = g.outcome_ancestry()
-    reference, p_ref = _cascade(scm, noise, n, 0.0, ancestry)
+    reference, p_ref = reference_cascade(scm, noise, n, 0.0, ancestry)
     inter = {}
     p_plus = p_ref
     for name in ancestry:
@@ -293,7 +293,7 @@ def full_array_arms(scm, ps, noise, n):
         if name == g.outcome:
             p_plus = scm.functions[name].mean_or_prob(parent_values, n)
         else:
-            inter[name] = _node_value(scm, name, parent_values, noise, n)
+            inter[name] = node_value(scm, name, parent_values, noise, n)
     return p_plus, p_ref
 
 
@@ -305,7 +305,7 @@ def full_array_oracle(scm, ps, n, seed):
     p_plus, p_minus = full_array_arms(scm, route, noise, n)
     diff = p_plus - p_minus
     if ps.mode == "counterfactual":
-        observed, _ = _cascade(scm, noise, n, do_sensitive=None)
+        observed, _ = reference_cascade(scm, noise, n, do_sensitive=None)
         diff = diff[_condition_mask(observed, ps.condition)]
         if diff.size == 0:
             return None
@@ -326,6 +326,72 @@ BENCHMARK_MODES = {
     "indirect": indirect_path_set,
     "counterfactual": lambda g: counterfactual_path_set(g, [("x2", "0")]),
 }
+
+
+def test_one_oracle_pass_is_the_full_array_oracle_on_random_scms():
+    """On random SCMs of up to 6 nodes (binary s and y, every other node
+    continuous or binary): the total contrast, path-specific contrasts on a
+    random subset of the sensitive-to-outcome edges and on each subset that
+    drops one of them, and a counterfactual contrast on a binary
+    non-descendant of s, from one oracle pass, equal the full-array
+    reference of each, whose routed loop is its own, bit for bit."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coefficients = st.sampled_from([-1.5, -0.8, -0.3, 0.4, 1.0, 2.0])
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def check(data):
+        k = data.draw(st.integers(2, 6), label="nodes")
+        names = [f"v{i}" for i in range(k)]
+        forward = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+        edges = [e for e in forward if data.draw(st.booleans(), label=f"edge {e}")]
+        roles = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+        s, y = sorted(data.draw(roles, label="roles"))  # s may reach y
+        binary = {v for v in names if v in (s, y) or data.draw(st.booleans(), label="binary")}
+        functions = []
+        for v in names:
+            terms = [str(data.draw(coefficients, label="bias"))] + [
+                f"{data.draw(coefficients, label='coefficient')}*{p}" for p, c in edges if c == v
+            ]
+            affine = " + ".join(terms)
+            functions.append(
+                f"{v} = bernoulli(logistic({affine}))" if v in binary
+                else f"{v} = normal({affine}, 0.7)"
+            )
+        doc = "\n".join([
+            "[nodes]",
+            *(f"{v} categorical 2" if v in binary else f"{v} continuous" for v in names),
+            "[edges]", *(f"{a} -> {b}" for a, b in edges),
+            "[roles]", f"sensitive {s}", f"outcome {y}",
+            "[functions]", *functions,
+        ])
+        scm = parse_scm(doc)
+        g = scm.graph
+        path_sets = [total_path_set(g)]
+        on_paths = sorted(path_sets[0].on_pi_edges)
+        if on_paths:  # a random subset, and every subset that drops one edge
+            subset = data.draw(st.sets(st.sampled_from(on_paths), min_size=1), label="pi edges")
+            subsets = [frozenset(subset)] + [frozenset(on_paths) - {e} for e in on_paths]
+            path_sets += [PathSet("path_specific", edges) for edges in subsets if edges]
+        outside = sorted(binary - {s} - g.descendants(s))
+        if outside:
+            node = data.draw(st.sampled_from(outside), label="condition node")
+            value = data.draw(st.sampled_from(["0", "1"]), label="condition value")
+            path_sets.append(counterfactual_path_set(g, [(node, value)]))
+        n = data.draw(st.sampled_from([1, 5, ORACLE_BLOCK + 3]), label="draws")
+        seed = data.draw(st.integers(0, 1000), label="seed")
+
+        expected = [full_array_oracle(scm, ps, n, seed) for ps in path_sets]
+        matched = [ps for ps, e in zip(path_sets, expected) if e is not None]
+        expected = [e for e in expected if e is not None]
+        assert oracle_effects(scm, matched, n=n, seed=seed) == expected
+        if len(matched) < len(path_sets):
+            with pytest.raises(GraphError, match="no draws match"):
+                oracle_effects(scm, path_sets, n=n, seed=seed)
+
+    check()
 
 
 @pytest.mark.parametrize(
