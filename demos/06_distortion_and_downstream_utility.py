@@ -9,7 +9,6 @@ alternative of deleting one sensitive group is the comparison point.
 import numpy as np
 
 from fairweigh import (
-    Encoder,
     SplitPlan,
     StructuredModel,
     TrainConfig,
@@ -25,8 +24,8 @@ from fairweigh.synth import benchmark_scm, generate
 
 scm = benchmark_scm(seed=0)
 ds = generate(scm, 8000)
-train_ds, test_ds = split(ds, SplitPlan(seed=1))
-encoder = Encoder().fit(train_ds)
+part = split(ds, SplitPlan(seed=1))
+train_ds, encoder = part.train, part.encoder
 x = encoder.transform(train_ds)
 
 config = TrainConfig(
@@ -56,5 +55,5 @@ print("need not drive it to zero)")
 
 print("\nheld-out accuracy of a weighted logistic regression")
 for label, wts in (("uniform", None), ("solved", w), ("group zeroed", crude)):
-    accuracy = downstream_accuracy(train_ds, test_ds, "y", wts, encoder)
+    accuracy = downstream_accuracy(part, "y", wts)
     print(f"  {label:13s} {accuracy:.4f}")

@@ -34,7 +34,7 @@ from .data import (
     SplitPlan,
     export_weights,
     load_csv,
-    split_indices,
+    split,
     write_csv,
 )
 from .effects import (
@@ -137,13 +137,13 @@ def load_inputs(run: RunConfig) -> tuple[ColumnarDataset, CausalGraph, dict]:
 
 def check_against_data(
     run: RunConfig, graph: CausalGraph, mode: PathSet, ds: ColumnarDataset,
-    declared_levels: dict, where: str, trains: bool,
-) -> Encoder:
-    """The encoder of ``ds`` (which ``where`` names), once ``ds`` passes what
-    only the graph and the data can judge (:func:`fairweigh.model.check_inputs`,
-    refused naming the field), has at least a batch of rows when it
-    ``trains``, and holds a row of each level of the sensitive node."""
-    encoder = Encoder().fit(ds, declared_levels)
+    encoder: Encoder, where: str, trains: bool,
+) -> None:
+    """Refuse ``ds`` (which ``where`` names), with ``encoder`` fitted on it,
+    unless it passes what only the graph and the data can judge
+    (:func:`fairweigh.model.check_inputs`, refused naming the field), has at
+    least a batch of rows when it ``trains``, and holds a row of each level
+    of the sensitive node."""
     try:
         check_inputs(graph, encoder, mode, run.critic_context_nodes)
     except ModelError as exc:
@@ -157,7 +157,6 @@ def check_against_data(
     for level in encoder.levels(graph.sensitive):
         if not (s_values == level).any():
             raise DataError(f"{where} has no row with {graph.sensitive}={level}")
-    return encoder
 
 
 def build_mode(run: RunConfig, graph: CausalGraph) -> PathSet:
@@ -213,11 +212,19 @@ def cmd_reweigh(args) -> int:
     config, run = read_config(args)
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
-    check_against_data(run, graph, mode, ds, declared_levels, f"data file {run.data}", False)
-    for rep in range(run.repeats):  # each repetition fits its encoder on its training split
-        train_rows = split_indices(ds.m, SplitPlan(run.train.seed, run.train_fraction, rep))[0]
-        where = f"the training split of repetition {rep} of {run.data}"
-        check_against_data(run, graph, mode, ds.take(train_rows), declared_levels, where, True)
+    encoder = Encoder().fit(ds, declared_levels)
+    check_against_data(run, graph, mode, ds, encoder, f"data file {run.data}", False)
+    splits = []  # each split once, checked before the manifest
+    for rep in range(run.repeats):
+        part = split(ds, SplitPlan(run.train.seed, run.train_fraction, rep), declared_levels)
+        where = f"repetition {rep} of {run.data}"
+        training = f"the training split of {where}"
+        check_against_data(run, graph, mode, part.train, part.encoder, training, True)
+        try:
+            part.encoder.transform(part.test)
+        except DataError as exc:
+            raise DataError(f"{exc} in the held-out rows of {where}") from None
+        splits.append(part)
     out_dir = Path(run.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stale in out_dir.glob("rep_*"):  # left by an earlier run with more repeats
@@ -227,14 +234,11 @@ def cmd_reweigh(args) -> int:
     write_manifest(out_dir, config, run.train.seed, graph)
 
     report, artifacts = repeat_protocol(
-        ds,
+        splits,
         graph,
         mode,
         run.train,
-        repeats=run.repeats,
         tau=float(run.tau),
-        train_fraction=run.train_fraction,
-        declared_levels=declared_levels,
         compute_wasserstein=run.wasserstein,
         wasserstein_steps=run.wasserstein_steps,
         critic_context_nodes=run.critic_context_nodes,
@@ -242,14 +246,14 @@ def cmd_reweigh(args) -> int:
 
     mean_weights = np.zeros(ds.m)
     counts = np.zeros(ds.m)
-    for art in artifacts:
+    for part, art in zip(splits, artifacts):
         rep_dir = out_dir / f"rep_{art['repetition']}"
         rep_dir.mkdir(exist_ok=True)
-        export_weights(art["train"], art["weights"], rep_dir / "weights.csv")
+        export_weights(part.train, art["weights"], rep_dir / "weights.csv")
         write_log(art["log"], rep_dir / "train_log.jsonl")
         art["model"].save(rep_dir / "checkpoint.npz")
-        mean_weights[art["train_rows"]] += art["weights"]
-        counts[art["train_rows"]] += 1.0
+        mean_weights[part.train_rows] += art["weights"]
+        counts[part.train_rows] += 1.0
     averaged = np.where(counts > 0, mean_weights / np.maximum(counts, 1.0), 1.0)
     export_weights(ds, averaged, out_dir / "weights_mean.csv")
     _write_report(out_dir, report)
@@ -310,8 +314,9 @@ def cmd_effects(args) -> int:
     _, run = read_config(args)
     ds, graph, declared_levels = load_inputs(run)
     mode = build_mode(run, graph)
+    encoder = Encoder().fit(ds, declared_levels)
     where = f"data file {run.data}"
-    encoder = check_against_data(run, graph, mode, ds, declared_levels, where, not args.checkpoint)
+    check_against_data(run, graph, mode, ds, encoder, where, not args.checkpoint)
 
     model = StructuredModel(
         graph,
@@ -406,14 +411,12 @@ def cmd_evaluate(args) -> int:
     _, run = read_config(args)
     ds, graph, declared_levels = load_inputs(run)
     plan = SplitPlan(run.train.seed, run.train_fraction, args.repetition)
-    train_idx, test_idx = split_indices(ds.m, plan)
-    train_ds, test_ds = ds.take(train_idx), ds.take(test_idx)
+    part = split(ds, plan, declared_levels)
     weights = None
     if args.weights:
-        uses = [(train_idx, "the training split")]
-        weights = _read_weights(args.weights, ds.m, uses)[train_idx]
-    encoder = Encoder().fit(train_ds, declared_levels)
-    accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights, encoder)
+        uses = [(part.train_rows, "the training split")]
+        weights = _read_weights(args.weights, ds.m, uses)[part.train_rows]
+    accuracy = downstream_accuracy(part, graph.outcome, weights)
     print(f"weighted logistic regression accuracy: {accuracy:.4f}")
     return 0
 

@@ -2,16 +2,16 @@
 
 Continuous columns are z-scored with the population standard deviation and
 categorical columns are one-hot encoded against lexicographically sorted
-levels, so the encoded layout is reproducible across runs.  Encoding
-statistics always come from a training split and are applied unchanged to
-held-out rows.
+levels, so the encoded layout is reproducible across runs.  A :class:`Split`
+carries the encoder fitted on its training side, so encoding statistics
+always come from a training split and are applied unchanged to held-out rows.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "Column",
     "ColumnarDataset",
     "SplitPlan",
+    "Split",
     "Encoder",
     "load_csv",
     "split_indices",
@@ -243,10 +244,8 @@ class Encoder:
                 clipped = np.minimum(pos, len(levels) - 1)
                 unseen = levels[clipped] != col.values
                 if unseen.any():
-                    value = col.values[unseen][0]
-                    raise DataError(
-                        f"column {name!r}: unseen categorical level {value!r}"
-                    )
+                    value = str(col.values[unseen][0])
+                    raise DataError(f"column {name!r}: unseen categorical level {value!r}")
                 out[np.arange(ds.m), blk.start + clipped] = 1.0
         return out
 
@@ -259,9 +258,21 @@ def split_indices(m: int, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def split(ds: ColumnarDataset, plan: SplitPlan) -> tuple[ColumnarDataset, ColumnarDataset]:
-    train_idx, test_idx = split_indices(ds.m, plan)
-    return ds.take(train_idx), ds.take(test_idx)
+class Split(NamedTuple):
+    """A train/test split: the training rows, both sides, the training side's encoder."""
+
+    train_rows: np.ndarray
+    train: ColumnarDataset
+    test: ColumnarDataset
+    encoder: Encoder
+
+
+def split(ds: ColumnarDataset, plan: SplitPlan, declared_levels: dict | None = None) -> Split:
+    """``plan``'s split of ``ds``, its encoder fitted on the training side
+    (``declared_levels`` as in :meth:`Encoder.fit`)."""
+    train_rows, test_rows = split_indices(ds.m, plan)
+    train = ds.take(train_rows)
+    return Split(train_rows, train, ds.take(test_rows), Encoder().fit(train, declared_levels))
 
 
 def _quoted(label: str, alone: bool) -> str:

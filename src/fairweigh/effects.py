@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import backward
 from .config import RunConfig
-from .data import ColumnarDataset, DataError, Encoder
+from .data import ColumnarDataset, DataError, Encoder, Split
 from .model import Pair, StructuredModel
 from .nn import Adam, ParamStore, Scratch, critic_loss, layer_sizes, mlp_forward
 
@@ -172,15 +172,13 @@ def wasserstein_estimate(
 def wasserstein_distance(
     ds: ColumnarDataset,
     weights: np.ndarray,
-    encoder: Encoder | None = None,
+    encoder: Encoder,
     seed: int = 0,
     steps: int = RunConfig.wasserstein_steps,
 ) -> float:
     """Dataset-level wrapper: the distance between the rows of ``ds`` and the
-    same rows under ``weights``, encoded once (by ``encoder``, or one fitted
-    to ``ds``)."""
-    x = (Encoder().fit(ds) if encoder is None else encoder).transform(ds)
-    return wasserstein_estimate(x, weights, seed=seed, steps=steps)
+    same rows under ``weights``, encoded once by ``encoder``."""
+    return wasserstein_estimate(encoder.transform(ds), weights, seed=seed, steps=steps)
 
 
 # -- observational metrics -------------------------------------------------------
@@ -223,30 +221,25 @@ REGRESSION_EPOCHS = 500
 REGRESSION_LR = 0.1
 
 
-def downstream_accuracy(
-    train_ds: ColumnarDataset,
-    test_ds: ColumnarDataset,
-    outcome: str,
-    weights: np.ndarray | None = None,
-    encoder: Encoder | None = None,
-) -> float:
-    """Test accuracy of a weighted logistic regression predicting the outcome.
+def downstream_accuracy(part: Split, outcome: str, weights: np.ndarray | None = None) -> float:
+    """Held-out accuracy of a logistic regression predicting the binary
+    ``outcome`` from the other columns, fitted on ``part``'s training side
+    under ``weights`` (one per training row), both sides encoded by
+    ``part``'s encoder.
 
     Plain full-batch gradient descent in float64 (``REGRESSION_EPOCHS`` steps
     at rate ``REGRESSION_LR``), no regularization.  A loose final gradient
     norm only warns; the accuracy is returned regardless.
     """
-    enc = Encoder().fit(train_ds) if encoder is None else encoder
-    x_train = enc.transform(train_ds)
-    x_test = enc.transform(test_ds)
+    enc = part.encoder
+    y_train = _binary_indicator(part.train, outcome, enc)
+    y_test = _binary_indicator(part.test, outcome, enc)
     block = enc.block(outcome)
     feature_cols = [i for i in range(enc.width) if not block.start <= i < block.stop]
-    y_train = x_train[:, block.start + 1]
-    y_test = x_test[:, block.start + 1]
-    a_train = x_train[:, feature_cols]
-    a_test = x_test[:, feature_cols]
+    a_train = enc.transform(part.train)[:, feature_cols]
+    a_test = enc.transform(part.test)[:, feature_cols]
 
-    omega = _normalized(weights, train_ds.m)
+    omega = _normalized(weights, part.train.m)
     theta = np.zeros(a_train.shape[1])
     intercept = 0.0
     grad_norm = np.inf

@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import backward
 from .config import RunConfig, TrainConfig
-from .data import ColumnarDataset, Encoder, SplitPlan, split_indices
+from .data import ColumnarDataset, Split
 from .effects import (
     EffectReport,
     MetricSummary,
@@ -274,38 +274,34 @@ def write_log(log: list[EpochRecord], path) -> None:
 
 
 def repeat_protocol(
-    ds: ColumnarDataset,
+    splits: list[Split],
     graph: CausalGraph,
     mode: PathSet,
     config: TrainConfig,
-    repeats: int = RunConfig.repeats,
     tau: float = RunConfig.tau,
-    train_fraction: float = RunConfig.train_fraction,
-    declared_levels: dict | None = None,
     compute_wasserstein: bool = RunConfig.wasserstein,
     wasserstein_steps: int = RunConfig.wasserstein_steps,
     critic_context_nodes: tuple[str, ...] = RunConfig.critic_context_nodes,
 ) -> tuple[EffectReport, list[dict]]:
-    """Independent train/test splits, one full training run per repetition.
+    """One full training run per :class:`~fairweigh.data.Split`, repetition
+    ``r`` on ``splits[r]``.
 
-    Every repetition re-splits the data (same base seed, its own repetition
-    index), refits the encoder on the training side only, trains from a fresh
-    initialization, and measures: the mode's effect and the critic-gap
-    diagnostic on the reweighted training split, statistical parity under the
-    weights, downstream accuracy on the held-out split, and the critic-based
-    distance between the original and reweighted training data.  Metrics are
+    Every repetition trains from a fresh initialization (seed
+    ``config.seed + r``) on its training side, encoded by its split's
+    encoder, and measures: the mode's effect and the critic-gap diagnostic on
+    the reweighted training side, statistical parity under the weights,
+    downstream accuracy on the held-out side, and the critic-based distance
+    between the original and reweighted training data.  Metrics are
     aggregated as mean and (population) standard deviation.  Each artifact
-    also holds ``train_rows``, the rows of ``ds`` in its training split.
+    holds the repetition's index, model, weights (one per training row of
+    its split) and epoch log.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if not splits:
+        raise ValueError("repeat_protocol needs at least one split")
     effects, gaps, parities, accuracies, distances = [], [], [], [], []
     artifacts: list[dict] = []
-    for rep in range(repeats):
-        plan = SplitPlan(config.seed, train_fraction, rep)
-        train_rows, test_rows = split_indices(ds.m, plan)
-        train_ds, test_ds = ds.take(train_rows), ds.take(test_rows)
-        encoder = Encoder().fit(train_ds, declared_levels)
+    for rep, part in enumerate(splits):
+        train_ds, encoder = part.train, part.encoder
         rep_config = replace(config, seed=config.seed + rep)
         model = StructuredModel(
             graph,
@@ -324,23 +320,14 @@ def repeat_protocol(
         parities.append(
             statistical_parity(train_ds, graph.sensitive, graph.outcome, w, encoder)
         )
-        accuracies.append(downstream_accuracy(train_ds, test_ds, graph.outcome, w, encoder))
+        accuracies.append(downstream_accuracy(part, graph.outcome, w))
         if compute_wasserstein:
             distances.append(
                 wasserstein_distance(
                     train_ds, w, encoder, seed=rep_config.seed, steps=wasserstein_steps
                 )
             )
-        artifacts.append(
-            {
-                "repetition": rep,
-                "model": model,
-                "weights": w,
-                "log": log,
-                "train": train_ds,
-                "train_rows": train_rows,
-            }
-        )
+        artifacts.append({"repetition": rep, "model": model, "weights": w, "log": log})
     report = EffectReport(
         mode=mode.mode,
         effect=MetricSummary.of(effects),

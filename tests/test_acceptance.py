@@ -373,8 +373,8 @@ def test_criterion_8_adult_reproduction(tmp_path):
     ds = load_csv(os.environ["FAIRWEIGH_ADULT_CSV"], schema)
     graph = parse_graph(Path(os.environ["FAIRWEIGH_ADULT_GRAPH"]).read_text())
 
-    train_ds, test_ds = split(ds, SplitPlan(seed=0))
-    enc = Encoder().fit(train_ds, declared)
+    part = split(ds, SplitPlan(seed=0), declared)
+    train_ds, enc = part.train, part.encoder
     x = enc.transform(train_ds)
     config = TrainConfig(seed=0)  # paper-default settings
 
@@ -385,7 +385,7 @@ def test_criterion_8_adult_reproduction(tmp_path):
     model = StructuredModel(graph, enc, total_path_set(graph), seed=0)
     model, weights, _ = train(model, train_ds, config)
     te_after = estimate_effect(model, train_ds, x=x, weights=weights.values)
-    accuracy = downstream_accuracy(train_ds, test_ds, graph.outcome, weights.values, enc)
+    accuracy = downstream_accuracy(part, graph.outcome, weights.values)
 
     passed = (
         abs(te_before - 0.1854) <= 0.06

@@ -18,4 +18,4 @@ def test_this_checkout_is_byte_identical_to_itself(tmp_path):
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1] == "identical", done.stdout
-    assert lines[-2].startswith("17 commands"), done.stdout
+    assert lines[-2].startswith("20 commands"), done.stdout

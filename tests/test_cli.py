@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -853,6 +854,68 @@ def test_a_level_a_later_training_split_lacks_exits_2_before_the_manifest(
     assert main(["reweigh", "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
     assert not (workspace / out).exists()
+
+
+def test_a_level_only_held_out_rows_hold_exits_2_before_the_manifest(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    """A categorical column outside the graph whose level "rare" only
+    repetition 1's held-out rows hold: reweigh once wrote its manifest and
+    trained repetition 0 before the held-out accuracy refused it; every
+    split's held-out rows are now encoded first."""
+    ds = load_csv(workspace / "data.csv", [(c["name"], c["kind"]) for c in SCHEMA])
+    tags = np.full(ds.m, "common")
+    tags[_a_row_only_split_0_trains_on(ds.m)] = "rare"
+    data = tmp_path / "tagged.csv"
+    write_csv(ColumnarDataset([*ds.columns, Column("tag", "categorical", tags)]), data)
+    schema = SCHEMA + [{"name": "tag", "kind": "categorical"}]
+    config = config_for(workspace, "run_held_out", data=str(data), schema=schema, repeats=2)
+    _no_train(monkeypatch)
+    assert main(["reweigh", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "data error: column 'tag': unseen categorical level 'rare' in the held-out rows "
+        f"of repetition 1 of {data}\n"
+    )
+    assert not (workspace / "run_held_out").exists()
+
+
+@pytest.mark.parametrize("outcome_first", [False, True], ids=["y-last", "y-first"])
+def test_evaluate_refuses_an_outcome_with_one_level(workspace, tmp_path, capsys, outcome_first):
+    """With every y at "1" and no levels declared, evaluate once read the
+    encoded column after y's one column: past the end (exit 3) with y last,
+    another node's one-hot column (exit 0) with y first."""
+    data = _data_with(workspace, tmp_path / "one_y.csv", y=np.full(600, "1"))
+    y = {"name": "y", "kind": "categorical"}
+    schema = [y, *SCHEMA[:-1]] if outcome_first else [*SCHEMA[:-1], y]
+    config = config_for(workspace, "run_one_y", data=str(data), schema=schema)
+    assert main(["evaluate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: column 'y' is not binary (levels: ['1'])\n"
+
+
+def test_reweigh_splits_and_encodes_each_repetition_once(workspace, monkeypatch):
+    """One encoder for the whole file's checks and one per repetition's
+    split (the protocol once split and fitted every repetition again); and
+    evaluate --repetition 1 holds out the rows rep_1 did not train on."""
+    fits = []
+    fit = Encoder.fit
+    monkeypatch.setattr(Encoder, "fit", lambda *args: fits.append(1) or fit(*args))
+    config = config_for(workspace, "run_once", repeats=2, train={**FAST_TRAIN, "epochs": 1})
+    assert main(["reweigh", "--config", str(config)]) in (0, 1)
+    assert len(fits) == 3
+    monkeypatch.undo()
+
+    seen = []
+    monkeypatch.setattr(cli, "downstream_accuracy", lambda *args: seen.append(args) or 0.5)
+    out = workspace / "run_once"
+    args = ["--repetition", "1", "--weights", str(out / "weights_mean.csv")]
+    assert main(["evaluate", "--config", str(config), *args]) == 0
+    (part, outcome, weights), = seen
+    with open(out / "rep_1" / "weights.csv", newline="", encoding="utf-8") as fh:
+        listed = sorted(csv.DictReader(fh), key=lambda row: int(row["index"]))
+    assert outcome == "y" and part.train.m == len(listed) == 480
+    assert list(map(repr, part.train.column("x1").values.tolist())) == [r["x1"] for r in listed]
+    assert np.array_equal(weights, _read_weights(out / "weights_mean.csv", 600)[part.train_rows])
 
 
 def _without_wall_time(path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairweigh import effects
-from fairweigh.data import Column, ColumnarDataset, DataError, Encoder
+from fairweigh.data import Column, ColumnarDataset, DataError, Encoder, Split
 from fairweigh.effects import (
     discriminator_gap,
     downstream_accuracy,
@@ -250,7 +250,7 @@ def test_downstream_accuracy_separable_data():
         [Column("v", "continuous", v), Column("y", "categorical", y)]
     )
     train, test = ds.take(np.arange(0, 240)), ds.take(np.arange(240, len(v)))
-    assert downstream_accuracy(train, test, "y") == 1.0
+    assert downstream_accuracy(Split(np.arange(240), train, test, Encoder().fit(train)), "y") == 1.0
 
 
 def test_downstream_accuracy_constant_outcome_majority():
@@ -263,5 +263,18 @@ def test_downstream_accuracy_constant_outcome_majority():
     )
     enc = Encoder().fit(ds, {"y": ["0", "1"]})
     train, test = ds.take(np.arange(0, 150)), ds.take(np.arange(150, m))
-    accuracy = downstream_accuracy(train, test, "y", encoder=enc)
+    accuracy = downstream_accuracy(Split(np.arange(150), train, test, enc), "y")
     assert accuracy == 1.0  # majority class is everything
+
+
+@pytest.mark.parametrize("declared", [None, {"y": ["0", "1", "2"]}], ids=["one-level", "three"])
+def test_downstream_accuracy_refuses_an_outcome_that_is_not_binary(declared):
+    """The outcome was once read as the encoded column after its block's
+    first, which belongs to another node when the block has one column."""
+    v = np.random.default_rng(9).normal(0, 1, 100)
+    ds = ColumnarDataset([Column("y", "categorical", np.full(100, "1")),
+                          Column("v", "continuous", v)])
+    train, test = ds.take(np.arange(80)), ds.take(np.arange(80, 100))
+    part = Split(np.arange(80), train, test, Encoder().fit(train, declared))
+    with pytest.raises(DataError, match=r"^column 'y' is not binary \(levels: \["):
+        downstream_accuracy(part, "y")

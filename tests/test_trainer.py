@@ -8,7 +8,7 @@ import pytest
 
 from fairweigh import trainer
 from fairweigh.autodiff import Tensor, backward
-from fairweigh.data import Column, ColumnarDataset, Encoder
+from fairweigh.data import Column, ColumnarDataset, Encoder, SplitPlan, split
 from fairweigh.effects import discriminator_gap, estimate_effect
 from fairweigh.graph import counterfactual_path_set, indirect_path_set, total_path_set
 from fairweigh.model import StructuredModel
@@ -37,6 +37,12 @@ def small_setup(n=256, seed=0, **config):
     cfg = TrainConfig(**{**FAST, "seed": seed, **config})
     model = StructuredModel(scm.graph, enc, total_path_set(scm.graph), seed=cfg.seed)
     return scm, ds, enc, model, cfg
+
+
+def splits_of(ds, seed, repeats, declared_levels=None):
+    """The protocol's splits of ``ds``: the run config's train fraction, one
+    repetition index each."""
+    return [split(ds, SplitPlan(seed, repetition_index=r), declared_levels) for r in range(repeats)]
 
 
 def test_progress_contract():
@@ -168,12 +174,7 @@ def test_repeat_protocol_single_repetition_reports_zero_std():
     ds = generate(scm, 300)
     cfg = TrainConfig(**{**FAST, "seed": 9})
     report, artifacts = repeat_protocol(
-        ds,
-        scm.graph,
-        total_path_set(scm.graph),
-        cfg,
-        repeats=1,
-        compute_wasserstein=False,
+        splits_of(ds, 9, 1), scm.graph, total_path_set(scm.graph), cfg, compute_wasserstein=False
     )
     assert report.effect.std == 0.0
     assert len(artifacts) == 1
@@ -201,14 +202,9 @@ y = bernoulli(1.0)
     ds = generate(scm, 240)
     assert set(ds.column("y").values.tolist()) == {"1"}
     cfg = TrainConfig(**{**FAST, "seed": 10})
+    splits = splits_of(ds, 10, 3, {"y": ["0", "1"], "s": ["0", "1"]})
     report, _ = repeat_protocol(
-        ds,
-        scm.graph,
-        total_path_set(scm.graph),
-        cfg,
-        repeats=3,
-        declared_levels={"y": ["0", "1"], "s": ["0", "1"]},
-        compute_wasserstein=False,
+        splits, scm.graph, total_path_set(scm.graph), cfg, compute_wasserstein=False
     )
     assert report.accuracy.std == 0.0 and report.accuracy.mean == 1.0
     assert report.parity.std == 0.0 and report.parity.mean == 0.0
@@ -261,21 +257,14 @@ def test_repeat_protocol_varies_split_per_repetition():
     scm = benchmark_scm(seed=12)
     ds = generate(scm, 300)
     cfg = TrainConfig(**{**FAST, "seed": 12})
+    splits = splits_of(ds, 12, 2)
     report, artifacts = repeat_protocol(
-        ds,
-        scm.graph,
-        total_path_set(scm.graph),
-        cfg,
-        repeats=2,
-        compute_wasserstein=False,
+        splits, scm.graph, total_path_set(scm.graph), cfg, compute_wasserstein=False
     )
-    first = artifacts[0]["train"].column("x1").values
-    second = artifacts[1]["train"].column("x1").values
-    assert not np.array_equal(first, second)
-    for art in artifacts:  # each artifact names the rows of ds it trained on
-        rows = art["train_rows"]
-        assert rows.size == art["train"].m == 240
-        assert np.array_equal(art["train"].column("x1").values, ds.column("x1").values[rows])
+    assert not np.array_equal(splits[0].train_rows, splits[1].train_rows)
+    for part, art in zip(splits, artifacts):  # repetition r trains on splits[r]
+        assert art["model"].encoder is part.encoder
+        assert art["weights"].size == part.train.m == 240
     assert len(report.effect.values) == 2
 
 
@@ -471,14 +460,15 @@ def test_repeat_protocol_reports_the_logged_gap_and_runs_one_full_pair(monkeypat
         return original(model, x, mask)
 
     monkeypatch.setattr(StructuredModel, "interventional_pair", counted)
+    (part,) = splits_of(ds, 9, 1)
     report, artifacts = repeat_protocol(
-        ds, scm.graph, total_path_set(scm.graph), cfg, repeats=1, compute_wasserstein=False
+        [part], scm.graph, total_path_set(scm.graph), cfg, compute_wasserstein=False
     )
     art = artifacts[0]
     assert report.critic_gap.values == (art["log"][-1].critic_gap,)
-    assert calls.count(art["train"].m) == cfg.epochs  # one full-split pair per epoch
+    assert calls.count(part.train.m) == cfg.epochs  # one full-split pair per epoch
     monkeypatch.undo()
-    assert report.critic_gap.mean == discriminator_gap(art["model"], art["train"], art["weights"])
+    assert report.critic_gap.mean == discriminator_gap(art["model"], part.train, art["weights"])
 
 
 def test_repeat_protocol_warns_on_a_degenerate_critic(no_path_graph):
@@ -496,10 +486,16 @@ def test_repeat_protocol_warns_on_a_degenerate_critic(no_path_graph):
     cfg = TrainConfig(epochs=2, batch_size=50, seed=1, critic_steps_at_weight_solve=3)
     with pytest.warns(UserWarning, match="critic output is constant"):
         report, _ = repeat_protocol(
-            ds, no_path_graph, total_path_set(no_path_graph), cfg, repeats=1,
+            splits_of(ds, 1, 1), no_path_graph, total_path_set(no_path_graph), cfg,
             compute_wasserstein=False,
         )
     assert report.critic_gap.values == (0.0,)
+
+
+def test_repeat_protocol_refuses_an_empty_list_of_splits():
+    scm = benchmark_scm(seed=9)
+    with pytest.raises(ValueError, match="at least one split"):
+        repeat_protocol([], scm.graph, total_path_set(scm.graph), TrainConfig(**FAST))
 
 
 def test_failed_weight_solve_rolls_back_to_epoch_boundary(monkeypatch):

@@ -10,7 +10,9 @@ same relative paths: ``gen-synth`` on the benchmark SCM with the condition
 ``x2=1``; ``reweigh`` in total, indirect, ``paths: "all"`` and counterfactual
 (``x2=1``) mode, two repetitions each with the distance on; and ``effects``
 three ways per mode (fitted with ``weights_mean.csv``, from repetition 0's
-checkpoint with it, and from the checkpoint without weights).  Then it diffs
+checkpoint with it, and from the checkpoint without weights); and, in total
+mode, ``evaluate`` unweighted, with ``weights_mean.csv``, and on repetition
+1's split with it.  Then it diffs
 every file both sides wrote, each command's stdout and exit code.  Files
 compare byte for byte, except ``train_log.jsonl`` (equal apart from each
 record's ``wall_time``) and ``manifest.json`` (equal apart from the config's
@@ -108,6 +110,11 @@ def run_side(checkout: Path, work: Path, args) -> dict:
             results[f"effects {name} {way}"] = fairweigh(
                 "effects", "--config", f"{name}.json", "--out", f"effects_{name}_{way}", *extra
             )
+    mean = ["--weights", "reweigh_total/weights_mean.csv"]
+    for way, extra in (
+        ("unweighted", []), ("weighted", mean), ("repetition 1", ["--repetition", "1", *mean]),
+    ):
+        results[f"evaluate total {way}"] = fairweigh("evaluate", "--config", "total.json", *extra)
     return results
 
 
